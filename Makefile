@@ -14,10 +14,10 @@ test: build
 # mutex hygiene, plus the CFG-based resource-leak, dropped-error and
 # lock-order analyzers — fails on any finding or unexplained
 # lint:ignore), then race-check the packages with goroutines (the
-# analysis engine's CFG/dataflow tests included, owner-sharded parallel
-# VVM and HVNL, parallel HHNL), the accumulator layer they share, the
-# entry cache the parallel HVNL coordinator drives, the telemetry
-# collector they all report to, the request tracer and flight recorder
+# analysis engine's CFG/dataflow tests included, and the join executors
+# at several workers: HHNL and LSH fanning out scoring, VVM its
+# owner-sharded accumulation), the accumulator layer they share, the
+# entry cache HVNL drives, the telemetry collector they all report to, the request tracer and flight recorder
 # that follow each request, the SLO engine computing error budgets over
 # them, and the observability server that scrapes it during in-flight
 # joins. The core run includes the differential harness (telemetry

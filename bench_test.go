@@ -29,6 +29,7 @@ import (
 	"textjoin/internal/entrycache"
 	"textjoin/internal/invfile"
 	"textjoin/internal/iosim"
+	"textjoin/internal/lsh"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/simulate"
 	"textjoin/internal/telemetry"
@@ -490,78 +491,54 @@ func BenchmarkAblationClusteredOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelJoins compares serial and parallel HHNL/HVNL/VVM
-// wall-clock on a memory-resident corpus (the paper's further-studies
-// item 3).
+// BenchmarkParallelJoins times each algorithm's executor at one worker
+// (JoinX) and at several (JoinXParallel) on a memory-resident corpus
+// (the paper's further-studies item 3). HVNL has only its serial row:
+// JoinHVNLParallel runs the same one-goroutine code.
 func BenchmarkParallelJoins(b *testing.B) {
 	env := newMeasuredEnv(b, 256)
+	f, err := env.d.Create("c1.lsh")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc, err := lsh.Build(env.in.Inner, f, lsh.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	env.d.ResetStats()
 	opts := core.Options{Lambda: 10, MemoryPages: 500}
-	b.Run("HHNL-serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinHHNL(env.in, opts); err != nil {
-				b.Fatal(err)
+	lshOpts := opts
+	lshOpts.LSH = sc
+
+	type joinFn func(core.Inputs, core.Options) ([]core.Result, *core.Stats, error)
+	parallel := func(join func(core.Inputs, core.Options, int) ([]core.Result, *core.Stats, error), workers int) joinFn {
+		return func(in core.Inputs, o core.Options) ([]core.Result, *core.Stats, error) { return join(in, o, workers) }
+	}
+	for _, row := range []struct {
+		name string
+		opts core.Options
+		join joinFn
+	}{
+		{"HHNL-serial", opts, core.JoinHHNL},
+		{"HHNL-parallel", opts, parallel(core.JoinHHNLParallel, 0)},
+		{"HVNL-serial", opts, core.JoinHVNL},
+		{"VVM-serial", opts, core.JoinVVM},
+		{"VVM-parallel", opts, parallel(core.JoinVVMParallel, 0)},
+		// A fixed worker count exposes the owner-sharded routing cost
+		// even when GOMAXPROCS is low (workers=0 may resolve to one).
+		{"VVM-parallel-4w", opts, parallel(core.JoinVVMParallel, 4)},
+		{"LSH-serial", lshOpts, core.JoinLSH},
+		{"LSH-parallel", lshOpts, parallel(core.JoinLSHParallel, 0)},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := row.join(env.in, row.opts); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("HHNL-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinHHNLParallel(env.in, opts, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("HVNL-serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinHVNL(env.in, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("HVNL-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinHVNLParallel(env.in, opts, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("VVM-serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinVVM(env.in, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("VVM-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinVVMParallel(env.in, opts, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// A fixed worker count exposes the owner-sharded routing cost even
-	// when GOMAXPROCS is low (workers=0 may degenerate to serial).
-	b.Run("VVM-parallel-4w", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinVVMParallel(env.in, opts, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("HVNL-parallel-4w", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := core.JoinHVNLParallel(env.in, opts, 4); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // accumWorkload is a fixed random stream of (row, inner, v) adds shaped

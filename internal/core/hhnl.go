@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
@@ -37,6 +38,25 @@ import (
 // outer document, so results are byte-identical. The backward variant
 // ignores the prefilter (its resident side is the inner collection).
 func JoinHHNL(in Inputs, opts Options) ([]Result, *Stats, error) {
+	return joinHHNL(in, opts, 1)
+}
+
+// JoinHHNLParallel is forward HHNL with the similarity computation fanned
+// out over workers (resolveWorkers maps 0 to GOMAXPROCS). The outer batch
+// is loaded and the inner collection scanned exactly as with one worker
+// (same I/O, same batches); chunks of scanned inner documents go to a
+// worker pool, each worker scoring them against the whole resident batch
+// into its own trackers, merged per batch.
+func JoinHHNLParallel(in Inputs, opts Options, workers int) ([]Result, *Stats, error) {
+	if opts.Backward {
+		return nil, nil, fmt.Errorf("core: parallel HHNL supports forward order only")
+	}
+	return joinHHNL(in, opts, resolveWorkers(workers))
+}
+
+// joinHHNL is HHNL's one executor; workers ≥ 1, and 1 is the serial
+// algorithm.
+func joinHHNL(in Inputs, opts Options, workers int) ([]Result, *Stats, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, nil, err
@@ -51,7 +71,52 @@ func JoinHHNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	if opts.Backward {
 		return hhnlBackward(in, opts, scorer)
 	}
-	return hhnlForward(in, opts, scorer)
+	budget, slotBytes, err := hhnlBatchBytes(in, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	pf, err := activePrefilter(in, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats := &Stats{Algorithm: HHNL, InnerDocs: in.Inner.NumDocs()}
+	k := batchKernel{
+		fillSpan: "hhnl.fill-batch", candSpan: "hhnl.prefilter",
+		scanSpan: "hhnl.inner-scan", flushSpan: "hhnl.flush-batch",
+		score: func(batch []*document.Document, d1 *document.Document, ts []*topk.TopK, c *scanCounts) {
+			anyHit := false
+			for i, d2 := range batch {
+				sim := scorer.Score(d2, d1)
+				if sim != 0 {
+					anyHit = true
+				}
+				ts[i].Offer(d1.ID, sim)
+			}
+			c.comparisons += int64(len(batch))
+			if !anyHit {
+				c.misses++
+			}
+		},
+	}
+	// With a prefilter, disqualify inner clusters, pages and documents
+	// against the batch's OR-signature before the scan — the filtered
+	// scan then never reads the skipped pages.
+	if pf != nil {
+		stats.Prefilter.Enabled = true
+		sigCfg := pf.Inner.Config()
+		var (
+			q    signature.Sig
+			need []bool
+		)
+		keep := func(id uint32) bool { return need[id] }
+		k.candidates = func(batch []*document.Document) (func(uint32) bool, error) {
+			var err error
+			q = batchSig(sigCfg, batch, q)
+			need, err = sidecarNeed(pf.Inner, in.Inner, q, need, &stats.Prefilter)
+			return keep, err
+		}
+	}
+	return joinBatched(in, opts, workers, budget, slotBytes, stats, k)
 }
 
 // hhnlBatchBytes returns the outer-batch byte budget and the per-document
@@ -73,133 +138,182 @@ func hhnlBatchBytes(in Inputs, opts Options) (budget int64, slotBytes int64, err
 	return budget, slotBytes, nil
 }
 
-func hhnlForward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *Stats, error) {
-	stats := &Stats{Algorithm: HHNL, InnerDocs: in.Inner.NumDocs()}
-	budget, slotBytes, err := hhnlBatchBytes(in, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	pf, err := activePrefilter(in, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	var (
-		sigCfg signature.Config
-		q      signature.Sig
-		need   []bool
-	)
-	if pf != nil {
-		stats.Prefilter.Enabled = true
-		sigCfg = pf.Inner.Config()
-	}
+// batchKernel is what tells apart the two batched nested loops, forward
+// HHNL and LSH, which otherwise share joinBatched: how a resident outer
+// batch picks the inner documents it must see, and how one inner
+// document is scored against the batch.
+type batchKernel struct {
+	// Span names of the four per-batch steps.
+	fillSpan, candSpan, scanSpan, flushSpan string
+	// candidates runs on the coordinator before the batch's inner scan
+	// and returns the scan's keep predicate. A nil candidates scans every
+	// inner document.
+	candidates func(batch []*document.Document) (keep func(id uint32) bool, err error)
+	// score compares inner document d1 with the batch documents it may
+	// match, offering each similarity to ts[i] and counting into c. With
+	// several workers it runs on their goroutines, so it writes only ts
+	// and c.
+	score func(batch []*document.Document, d1 *document.Document, ts []*topk.TopK, c *scanCounts)
+}
+
+// scanCounts are one worker's tallies over an inner scan.
+type scanCounts struct {
+	// comparisons counts exact-scorer similarity computations.
+	comparisons int64
+	// misses counts inner documents that scored zero against the whole
+	// batch (the prefilter's false passes).
+	misses int64
+}
+
+// joinBatched is the executor forward HHNL and LSH share: fill resident
+// outer batches under HHNL's memory policy, let the kernel choose the
+// inner documents each batch must see, scan those once per batch, and
+// score them against the batch.
+//
+// With one worker this is the serial algorithm: each inner document
+// comes from the scan's reuse arena and is scored before the next is
+// read, so the hot loop allocates nothing. With more, the coordinator
+// still does every read in the same order (same I/O, same Stats) and
+// fans the scanned documents out to workers, each scoring into its own
+// tracker set; the sets hold disjoint inner documents, so merging them
+// reproduces the global top-λ.
+func joinBatched(in Inputs, opts Options, workers int, budget, slotBytes int64, stats *Stats, k batchKernel) ([]Result, *Stats, error) {
 	track := trackIO(in.Outer.File(), in.Inner.File())
 	tel, trace := opts.Telemetry, opts.Trace
+	fill := batchFiller{docs: in.Outer.Documents(), side: "outer", budget: budget, slotBytes: slotBytes}
 
-	var results []Result
-	outer := in.Outer.Documents()
-	var pending *document.Document // first doc of the next batch, already read
-	done := false
-	for !done {
-		// Fill the next batch of outer documents within the budget.
-		fill := startPhase(tel, trace, telemetry.PhaseScan, "hhnl.fill-batch")
-		var batch []*document.Document
-		var used int64
-		for {
-			var d *document.Document
-			if pending != nil {
-				d, pending = pending, nil
-			} else {
-				var err error
-				d, err = outer.Next()
-				if err == io.EOF {
-					done = true
-					break
-				}
-				if err != nil {
-					fill.End()
-					return nil, nil, err
-				}
-			}
-			cost := d.EncodedSize() + slotBytes
-			if used+cost > budget && len(batch) > 0 {
-				pending = d
-				break
-			}
-			if used+cost > budget {
-				fill.End()
-				return nil, nil, fmt.Errorf("%w: outer document %d (%d bytes) exceeds the batch budget %d",
-					ErrInsufficientMemory, d.ID, cost, budget)
-			}
-			batch = append(batch, d)
-			used += cost
+	results := make([]Result, 0, in.Outer.NumDocs())
+	for {
+		span := startPhase(tel, trace, telemetry.PhaseScan, k.fillSpan)
+		batch, used, err := fill.next()
+		span.End()
+		if err != nil {
+			return nil, nil, err
 		}
-		fill.End()
 		if len(batch) == 0 {
 			break
 		}
 		stats.Passes++
+		stats.OuterDocs += int64(len(batch))
 		if used > stats.PeakMemoryBytes {
 			stats.PeakMemoryBytes = used
 		}
-		stats.OuterDocs += int64(len(batch))
 
-		trackers := make([]*topk.TopK, len(batch))
-		for i := range trackers {
-			trackers[i] = topk.New(opts.Lambda)
-		}
-		// With a prefilter, disqualify inner clusters, pages and
-		// documents against the batch's OR-signature before the scan —
-		// the filtered scan then never reads the skipped pages.
-		var nextInner func() (*document.Document, error)
-		if pf != nil {
-			filter := startPhase(tel, trace, telemetry.PhaseScan, "hhnl.prefilter")
-			q = batchSig(sigCfg, batch, q)
-			need, err = sidecarNeed(pf.Inner, in.Inner, q, need, &stats.Prefilter)
-			filter.End()
-			if err != nil {
-				return nil, nil, err
-			}
-			nextInner = in.Inner.ScanFiltered(func(id uint32) bool { return need[id] }).NextReuse
+		var scan collection.ReuseIterator
+		if k.candidates == nil {
+			scan = in.Inner.Scan()
 		} else {
-			nextInner = in.Inner.Scan().NextReuse
-		}
-		// One full scan of the inner collection per batch. Each inner
-		// document is consumed before the next is read, so the scan's
-		// reuse arena suffices — the hot loop allocates nothing.
-		score := startPhase(tel, trace, telemetry.PhaseScore, "hhnl.inner-scan")
-		for {
-			d1, err := nextInner()
-			if err == io.EOF {
-				break
-			}
+			span := startPhase(tel, trace, telemetry.PhaseScan, k.candSpan)
+			keep, err := k.candidates(batch)
+			span.End()
 			if err != nil {
-				score.End()
 				return nil, nil, err
 			}
-			anyHit := false
-			for i, d2 := range batch {
-				sim := scorer.Score(d2, d1)
-				stats.Comparisons++
-				if sim != 0 {
-					anyHit = true
-				}
-				trackers[i].Offer(d1.ID, sim)
-			}
-			if pf != nil && !anyHit {
-				stats.Prefilter.FalsePasses++
+			scan = in.Inner.ScanFiltered(keep)
+		}
+
+		sets := make([][]*topk.TopK, workers)
+		for w := range sets {
+			sets[w] = make([]*topk.TopK, len(batch))
+			for i := range sets[w] {
+				sets[w][i] = topk.New(opts.Lambda)
 			}
 		}
-		score.End()
-		flush := startPhase(tel, trace, telemetry.PhaseFlush, "hhnl.flush-batch")
+		counts := make([]scanCounts, workers)
+		span = startPhase(tel, trace, telemetry.PhaseScore, k.scanSpan)
+		if workers == 1 {
+			var d1 *document.Document
+			for d1, err = scan.NextReuse(); err == nil; d1, err = scan.NextReuse() {
+				k.score(batch, d1, sets[0], &counts[0])
+			}
+			if err == io.EOF {
+				err = nil
+			}
+		} else {
+			err = fanOutScan(scan, workers, func(w int, d1 *document.Document) {
+				k.score(batch, d1, sets[w], &counts[w])
+			})
+		}
+		span.End()
+		if err != nil {
+			return nil, nil, err
+		}
+
+		span = startPhase(tel, trace, telemetry.PhaseFlush, k.flushSpan)
 		for i, d2 := range batch {
-			results = append(results, Result{Outer: d2.ID, Matches: trackers[i].Results()})
+			tk := sets[0][i]
+			if workers > 1 {
+				tk = topk.New(opts.Lambda)
+				for _, ts := range sets {
+					for _, m := range ts[i].Results() {
+						tk.Offer(m.Doc, m.Sim)
+					}
+				}
+			}
+			results = append(results, Result{Outer: d2.ID, Matches: tk.Results()})
 		}
-		flush.End()
+		span.End()
+		for w, c := range counts {
+			stats.Comparisons += c.comparisons
+			if stats.Prefilter.Enabled {
+				stats.Prefilter.FalsePasses += c.misses
+			}
+			if workers > 1 && tel != nil {
+				tel.Counter(fmt.Sprintf("join.%s.worker.%d.comparisons",
+					strings.ToLower(stats.Algorithm.String()), w)).Add(c.comparisons)
+			}
+		}
 	}
 	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
 	recordJoinStats(tel, stats)
 	return results, stats, nil
+}
+
+// batchFiller reads documents into resident batches under a byte budget:
+// each document charges its packed size plus slotBytes, and the document
+// that would overflow a non-empty batch opens the next one. Batch
+// documents come from the allocating Next, so they stay valid while
+// their batch is resident.
+type batchFiller struct {
+	docs      collection.DocIterator
+	side      string // "outer" or "inner", for the oversize error
+	budget    int64
+	slotBytes int64
+	pending   *document.Document // first document of the next batch
+	done      bool
+}
+
+// next returns the next batch and the bytes it charges. An empty batch
+// means the documents are exhausted.
+func (f *batchFiller) next() ([]*document.Document, int64, error) {
+	var batch []*document.Document
+	var used int64
+	for !f.done {
+		d := f.pending
+		f.pending = nil
+		if d == nil {
+			var err error
+			if d, err = f.docs.Next(); err == io.EOF {
+				f.done = true
+				break
+			} else if err != nil {
+				return nil, 0, err
+			}
+		}
+		cost := d.EncodedSize() + f.slotBytes
+		if used+cost > f.budget {
+			if len(batch) > 0 {
+				f.pending = d
+				break
+			}
+			return nil, 0, fmt.Errorf("%w: %s document %d (%d bytes) exceeds the batch budget %d",
+				ErrInsufficientMemory, f.side, d.ID, cost, f.budget)
+		}
+		batch = append(batch, d)
+		used += cost
+	}
+	return batch, used, nil
 }
 
 func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *Stats, error) {
@@ -224,44 +338,14 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 
 	trackers := make(map[uint32]*topk.TopK)
 	var order []uint32
-	inner := in.Inner.Scan()
-	var pending *document.Document
-	done := false
-	firstPass := true
-	for !done {
-		fill := startPhase(tel, trace, telemetry.PhaseScan, "hhnl.backward.fill-batch")
-		var batch []*document.Document
-		var used int64
-		for {
-			var d *document.Document
-			if pending != nil {
-				d, pending = pending, nil
-			} else {
-				var err error
-				d, err = inner.Next()
-				if err == io.EOF {
-					done = true
-					break
-				}
-				if err != nil {
-					fill.End()
-					return nil, nil, err
-				}
-			}
-			cost := d.EncodedSize()
-			if used+cost > budget && len(batch) > 0 {
-				pending = d
-				break
-			}
-			if used+cost > budget {
-				fill.End()
-				return nil, nil, fmt.Errorf("%w: inner document %d (%d bytes) exceeds the batch budget %d",
-					ErrInsufficientMemory, d.ID, cost, budget)
-			}
-			batch = append(batch, d)
-			used += cost
+	fill := batchFiller{docs: in.Inner.Scan(), side: "inner", budget: budget}
+	for {
+		span := startPhase(tel, trace, telemetry.PhaseScan, "hhnl.backward.fill-batch")
+		batch, used, err := fill.next()
+		span.End()
+		if err != nil {
+			return nil, nil, err
 		}
-		fill.End()
 		if len(batch) == 0 {
 			break
 		}
@@ -290,7 +374,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 				trackers[d2.ID] = tk
 				order = append(order, d2.ID)
 			}
-			if firstPass {
+			if stats.Passes == 1 {
 				stats.OuterDocs++
 			}
 			for _, d1 := range batch {
@@ -300,7 +384,6 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 			}
 		}
 		score.End()
-		firstPass = false
 	}
 	if stats.Passes == 0 {
 		// Empty inner collection: every outer document still yields a

@@ -1,24 +1,19 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 
-	"textjoin/internal/accum"
-	"textjoin/internal/codec"
+	"textjoin/internal/collection"
 	"textjoin/internal/document"
-	"textjoin/internal/invfile"
-	"textjoin/internal/signature"
-	"textjoin/internal/telemetry"
-	"textjoin/internal/topk"
 )
 
 // The paper's concluding remarks list "(3) develop algorithms that
-// process textual joins in parallel" as further study. This file
-// implements shared-memory parallel variants of HHNL and VVM.
+// process textual joins in parallel" as further study. Every algorithm
+// has one executor that takes a worker count: JoinX runs it with one
+// worker, which is the serial algorithm, and JoinXParallel with
+// resolveWorkers(w).
 //
 // The parallelization deliberately leaves all storage access on a single
 // goroutine: the paper's cost model is about page I/O, and interleaving
@@ -26,11 +21,12 @@ import (
 // (and model a different device). What parallelizes is the CPU side —
 // similarity computation and accumulation — which the paper excludes from
 // its cost model but which dominates wall-clock time in memory-resident
-// runs. Results are identical to the serial algorithms: each worker
-// produces candidates for disjoint document pairs, and the top-λ merge of
-// disjoint candidate sets equals the global top-λ.
+// runs. Results are identical to one worker's: each worker produces
+// candidates for disjoint document pairs, and the top-λ merge of disjoint
+// candidate sets equals the global top-λ.
 
-// resolveWorkers maps an Options worker count to an effective one.
+// resolveWorkers maps a requested worker count to an effective one:
+// 0 or less means GOMAXPROCS.
 func resolveWorkers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -38,397 +34,61 @@ func resolveWorkers(n int) int {
 	return n
 }
 
-// JoinHHNLParallel is HHNL (forward order) with the similarity
-// computation fanned out over workers. The outer batch is loaded and the
-// inner collection scanned exactly as in the serial algorithm (same I/O,
-// same batches); chunks of scanned inner documents are handed to a worker
-// pool, each worker scoring them against the whole resident batch into
-// its own trackers, merged per batch. Chunk slices are recycled through a
-// sync.Pool so the steady state allocates nothing per chunk.
-func JoinHHNLParallel(in Inputs, opts Options, workers int) ([]Result, *Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
-	if opts.Backward {
-		return nil, nil, fmt.Errorf("core: parallel HHNL supports forward order only")
-	}
-	if in.Outer == nil || in.Inner == nil {
-		return nil, nil, fmt.Errorf("%w: HHNL needs both document collections", ErrMissingInput)
-	}
-	scorer, err := in.scorer(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	nWorkers := resolveWorkers(workers)
-	stats := &Stats{Algorithm: HHNL, InnerDocs: in.Inner.NumDocs()}
-	budget, slotBytes, err := hhnlBatchBytes(in, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	pf, err := activePrefilter(in, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	var (
-		sigCfg signature.Config
-		q      signature.Sig
-		need   []bool
-	)
-	if pf != nil {
-		stats.Prefilter.Enabled = true
-		sigCfg = pf.Inner.Config()
-	}
-	track := trackIO(in.Outer.File(), in.Inner.File())
-	tel, trace := opts.Telemetry, opts.Trace
+// fanOutChunk is how many scanned documents travel to a worker at once.
+const fanOutChunk = 64
 
-	const chunkSize = 64
-	chunkPool := sync.Pool{New: func() any {
-		s := make([]*document.Document, 0, chunkSize)
-		return &s
-	}}
+// chunkPool recycles fan-out chunk slices across batches and joins, so
+// the steady state allocates nothing per chunk.
+var chunkPool = sync.Pool{New: func() any {
+	s := make([]*document.Document, 0, fanOutChunk)
+	return &s
+}}
 
-	var results []Result
-	outer := in.Outer.Documents()
-	var pending *document.Document
-	done := false
-	for !done {
-		fill := startPhase(tel, trace, telemetry.PhaseScan, "hhnlp.fill-batch")
-		var batch []*document.Document
-		var used int64
-		for {
-			var d *document.Document
-			if pending != nil {
-				d, pending = pending, nil
-			} else {
-				var err error
-				d, err = outer.Next()
-				if err == io.EOF {
-					done = true
-					break
+// fanOutScan drains scan on the calling goroutine, in storage order, and
+// hands the documents in chunks to a pool of workers, calling visit(w, d)
+// on worker w for each. Documents come from the allocating Next because
+// they outlive the scan step. All workers have returned when fanOutScan
+// does, on error too.
+func fanOutScan(scan collection.DocIterator, workers int, visit func(w int, d *document.Document)) error {
+	// One buffered chunk per worker lets the scan run a chunk ahead of
+	// each worker without queueing unbounded documents.
+	chunks := make(chan *[]*document.Document, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for chunk := range chunks {
+				for _, d := range *chunk {
+					visit(w, d)
 				}
-				if err != nil {
-					fill.End()
-					return nil, nil, err
-				}
+				*chunk = (*chunk)[:0]
+				chunkPool.Put(chunk)
 			}
-			cost := d.EncodedSize() + slotBytes
-			if used+cost > budget && len(batch) > 0 {
-				pending = d
-				break
-			}
-			if used+cost > budget {
-				fill.End()
-				return nil, nil, fmt.Errorf("%w: outer document %d (%d bytes) exceeds the batch budget %d",
-					ErrInsufficientMemory, d.ID, cost, budget)
-			}
-			batch = append(batch, d)
-			used += cost
-		}
-		fill.End()
-		if len(batch) == 0 {
+		}(w)
+	}
+
+	var scanErr error
+	chunk := chunkPool.Get().(*[]*document.Document)
+	for {
+		d, err := scan.Next()
+		if err == io.EOF {
 			break
 		}
-		stats.Passes++
-		stats.OuterDocs += int64(len(batch))
-		if used > stats.PeakMemoryBytes {
-			stats.PeakMemoryBytes = used
+		if err != nil {
+			scanErr = err
+			break
 		}
-
-		// Per-worker tracker sets: workers see disjoint inner chunks, so
-		// merging their kept matches reproduces the global top-λ.
-		workerTrackers := make([][]*topk.TopK, nWorkers)
-		for w := range workerTrackers {
-			ts := make([]*topk.TopK, len(batch))
-			for i := range ts {
-				ts[i] = topk.New(opts.Lambda)
-			}
-			workerTrackers[w] = ts
-		}
-		compCounts := make([]int64, nWorkers)
-		fpCounts := make([]int64, nWorkers)
-
-		chunks := make(chan *[]*document.Document, nWorkers)
-		var wg sync.WaitGroup
-		for w := 0; w < nWorkers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ts := workerTrackers[w]
-				for chunk := range chunks {
-					for _, d1 := range *chunk {
-						anyHit := false
-						for i, d2 := range batch {
-							sim := scorer.Score(d2, d1)
-							if sim != 0 {
-								anyHit = true
-							}
-							ts[i].Offer(d1.ID, sim)
-						}
-						if !anyHit {
-							fpCounts[w]++
-						}
-					}
-					compCounts[w] += int64(len(*chunk)) * int64(len(batch))
-					*chunk = (*chunk)[:0]
-					chunkPool.Put(chunk)
-				}
-			}(w)
-		}
-
-		// Prefilter decisions happen on the coordinator, exactly as in
-		// the serial algorithm — same keep vector, same skipped pages.
-		var nextInner func() (*document.Document, error)
-		if pf != nil {
-			filter := startPhase(tel, trace, telemetry.PhaseScan, "hhnlp.prefilter")
-			var pfErr error
-			q = batchSig(sigCfg, batch, q)
-			need, pfErr = sidecarNeed(pf.Inner, in.Inner, q, need, &stats.Prefilter)
-			filter.End()
-			if pfErr != nil {
-				close(chunks)
-				wg.Wait()
-				return nil, nil, pfErr
-			}
-			nextInner = in.Inner.ScanFiltered(func(id uint32) bool { return need[id] }).Next
-		} else {
-			nextInner = in.Inner.Scan().Next
-		}
-
-		// Single-threaded sequential scan of the inner collection.
-		score := startPhase(tel, trace, telemetry.PhaseScore, "hhnlp.inner-scan")
-		var scanErr error
-		chunk := chunkPool.Get().(*[]*document.Document)
-		for {
-			d1, err := nextInner()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				scanErr = err
-				break
-			}
-			*chunk = append(*chunk, d1)
-			if len(*chunk) == chunkSize {
-				chunks <- chunk
-				chunk = chunkPool.Get().(*[]*document.Document)
-			}
-		}
-		if len(*chunk) > 0 && scanErr == nil {
+		*chunk = append(*chunk, d)
+		if len(*chunk) == fanOutChunk {
 			chunks <- chunk
-		}
-		close(chunks)
-		wg.Wait()
-		score.End()
-		if scanErr != nil {
-			return nil, nil, scanErr
-		}
-
-		merge := startPhase(tel, trace, telemetry.PhaseMerge, "hhnlp.merge-trackers")
-		for i, d2 := range batch {
-			merged := topk.New(opts.Lambda)
-			for w := 0; w < nWorkers; w++ {
-				for _, m := range workerTrackers[w][i].Results() {
-					merged.Offer(m.Doc, m.Sim)
-				}
-			}
-			results = append(results, Result{Outer: d2.ID, Matches: merged.Results()})
-		}
-		merge.End()
-		for w, c := range compCounts {
-			stats.Comparisons += c
-			if tel != nil {
-				tel.Counter(fmt.Sprintf("join.hhnl.worker.%d.comparisons", w)).Add(c)
-			}
-		}
-		if pf != nil {
-			// Each scanned inner document is counted by exactly one
-			// worker, so the sum matches the serial count.
-			for _, c := range fpCounts {
-				stats.Prefilter.FalsePasses += c
-			}
+			chunk = chunkPool.Get().(*[]*document.Document)
 		}
 	}
-	stats.IO = track.delta()
-	stats.Cost = stats.IO.Cost(alpha(in.Inner.File()))
-	recordJoinStats(tel, stats)
-	return results, stats, nil
-}
-
-// vvmTermWork is one worker's share of a common-term entry pair: the
-// worker-owned contiguous sub-slice of the outer entry's i-cells, plus the
-// shared (read-only) inner entry.
-type vvmTermWork struct {
-	factor float64
-	e1     *invfile.Entry
-	cells  []codec.Cell
-}
-
-// JoinVVMParallel is VVM with the per-term accumulation fanned out by
-// outer-document ownership. Worker w owns a contiguous block of the
-// pass's outer-id ranks, so the merge-scan goroutine (still one
-// sequential sweep of each inverted file per pass, exactly as serial VVM)
-// splits each outer entry's cell list by owner with binary searches and
-// routes each worker only its own sub-slice — no worker ever scans cells
-// it does not own. Each worker accumulates into its own accum shard
-// (dense rows or an open-addressing table, mirroring the serial regime
-// choice) and emits the results for its rank block directly, so the
-// finalize/top-λ phase parallelizes too. Partitioning (⌈SM/M⌉ passes) is
-// unchanged.
-func JoinVVMParallel(in Inputs, opts Options, workers int) ([]Result, *Stats, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
+	if len(*chunk) > 0 && scanErr == nil {
+		chunks <- chunk
 	}
-	if in.InnerInv == nil || in.OuterInv == nil || in.Outer == nil || in.Inner == nil {
-		return nil, nil, fmt.Errorf("%w: VVM needs both inverted files and both collections' statistics", ErrMissingInput)
-	}
-	// Run the serial partitioning logic by reusing JoinVVM for the
-	// degenerate single-worker case.
-	nWorkers := resolveWorkers(workers)
-	if nWorkers == 1 {
-		return JoinVVM(in, opts)
-	}
-	scorer, err := in.scorer(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	plan, err := vvmPlan(in, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats := plan.stats
-	n1 := int(in.Inner.NumDocs())
-	tel, trace := opts.Telemetry, opts.Trace
-
-	var results []Result
-	for p := 0; p < plan.passes; p++ {
-		rangeIDs := plan.rangeIDs(p)
-		if len(rangeIDs) == 0 {
-			continue
-		}
-		stats.Passes++
-		set := accum.NewIDSet(rangeIDs)
-		dense := accum.UseDense(len(rangeIDs), n1, plan.passBytes)
-		if tel != nil {
-			kind := "table"
-			if dense {
-				kind = "dense"
-			}
-			tel.Counter("join.vvm.accum." + kind).Add(1)
-		}
-
-		// Ownership: worker w owns the contiguous rank block
-		// [blocks[w], blocks[w+1]) of the (ascending) rangeIDs.
-		blocks := make([]int, nWorkers+1)
-		for w := range blocks {
-			blocks[w] = w * len(rangeIDs) / nWorkers
-		}
-
-		accs := make([]accum.Accumulator, nWorkers)
-		chans := make([]chan vvmTermWork, nWorkers)
-		accCounts := make([]int64, nWorkers)
-		passResults := make([]Result, len(rangeIDs))
-		var wg sync.WaitGroup
-		for w := 0; w < nWorkers; w++ {
-			rankLo, rankHi := blocks[w], blocks[w+1]
-			if dense {
-				accs[w] = accum.NewDense(rankHi-rankLo, n1)
-			} else {
-				accs[w] = accum.NewTable(0)
-			}
-			chans[w] = make(chan vvmTermWork, 128)
-			wg.Add(1)
-			go func(w, rankLo, rankHi int) {
-				defer wg.Done()
-				acc := accs[w]
-				var count int64
-				for tw := range chans[w] {
-					for _, c2 := range tw.cells {
-						rank, ok := set.Rank(c2.Number)
-						if !ok {
-							continue
-						}
-						v := float64(c2.Weight) * tw.factor
-						row := rank - rankLo
-						for _, c1 := range tw.e1.Cells {
-							acc.Add(row, c1.Number, float64(c1.Weight)*v)
-						}
-						count += int64(len(tw.e1.Cells))
-					}
-				}
-				accCounts[w] = count
-
-				// Finalize this worker's own rank block. Blocks are
-				// disjoint slices of passResults, so no locking.
-				trackers := make([]*topk.TopK, rankHi-rankLo)
-				acc.ForEach(func(row int, inner uint32, raw float64) {
-					tk := trackers[row]
-					if tk == nil {
-						tk = topk.New(opts.Lambda)
-						trackers[row] = tk
-					}
-					tk.Offer(inner, scorer.Finalize(rangeIDs[rankLo+row], inner, raw))
-				})
-				for row := range trackers {
-					var matches []Match
-					if tk := trackers[row]; tk != nil {
-						matches = tk.Results()
-					}
-					passResults[rankLo+row] = Result{Outer: rangeIDs[rankLo+row], Matches: matches}
-				}
-			}(w, rankLo, rankHi)
-		}
-
-		// Route each common-term pair: both the entry's cells and the rank
-		// blocks ascend by document number, so one forward sweep with a
-		// binary search per block boundary splits the cell list.
-		merge := startPhase(tel, trace, telemetry.PhaseMerge, "vvmp.merge-scan")
-		scanErr := mergeScan(in.InnerInv, in.OuterInv, false, func(term uint32, e1, e2 *invfile.Entry) {
-			factor := scorer.TermFactor(term)
-			if factor == 0 {
-				return
-			}
-			cells := e2.Cells
-			i := 0
-			for w := 0; w < nWorkers && i < len(cells); w++ {
-				rankLo, rankHi := blocks[w], blocks[w+1]
-				if rankLo == rankHi {
-					continue
-				}
-				loID, hiID := rangeIDs[rankLo], rangeIDs[rankHi-1]
-				start := i + sort.Search(len(cells)-i, func(k int) bool { return cells[i+k].Number >= loID })
-				end := start + sort.Search(len(cells)-start, func(k int) bool { return cells[start+k].Number > hiID })
-				i = end
-				if start < end {
-					chans[w] <- vvmTermWork{factor: factor, e1: e1, cells: cells[start:end]}
-				}
-			}
-		})
-		for w := 0; w < nWorkers; w++ {
-			close(chans[w])
-		}
-		wg.Wait()
-		merge.End()
-		if scanErr != nil {
-			return nil, nil, scanErr
-		}
-		var memBytes int64
-		for w, c := range accCounts {
-			stats.Accumulations += c
-			memBytes += accs[w].Bytes()
-			if tel != nil {
-				tel.Counter(fmt.Sprintf("join.vvm.worker.%d.accumulations", w)).Add(c)
-			}
-		}
-		if memBytes > stats.PeakMemoryBytes {
-			stats.PeakMemoryBytes = memBytes
-		}
-		results = append(results, passResults...)
-	}
-	stats.IO = plan.track.delta()
-	stats.Cost = stats.IO.Cost(alpha(in.InnerInv.File()))
-	recordJoinStats(tel, stats)
-	return results, stats, nil
+	close(chunks)
+	wg.Wait()
+	return scanErr
 }

@@ -162,3 +162,34 @@ func TestQuickParallelEqualsSerial(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The one-worker path of every executor is the serial algorithm: reuse
+// arenas, no goroutines, no per-document allocation. Growing the inner
+// collection fourfold under a fixed outer side must therefore leave the
+// allocation count flat — a fold that routed workers = 1 through the
+// fan-out path, which clones every scanned document, would grow it by
+// the number of inner documents.
+func TestSerialJoinAllocsFlatInInnerSize(t *testing.T) {
+	build := func(n1 int) Inputs {
+		d := iosim.NewDisk(iosim.WithPageSize(256))
+		c1 := buildColl(t, d, "c1", randomDocs(rand.New(rand.NewSource(71)), n1, 300, 20))
+		c2 := buildColl(t, d, "c2", randomDocs(rand.New(rand.NewSource(72)), 40, 300, 20))
+		return Inputs{Outer: c2, Inner: c1, InnerInv: buildInv(t, d, c1, "c1"), OuterInv: buildInv(t, d, c2, "c2")}
+	}
+	small, large := build(200), build(800)
+	opts := Options{Lambda: 10, MemoryPages: 2000}
+	for _, alg := range []Algorithm{HHNL, HVNL, VVM} {
+		allocs := func(in Inputs) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, _, err := Join(alg, in, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		a200, a800 := allocs(small), allocs(large)
+		t.Logf("%v: %.0f allocs at 200 inner documents, %.0f at 800", alg, a200, a800)
+		if a800-a200 > 16 {
+			t.Errorf("%v: allocations grew from %.0f to %.0f with the inner collection", alg, a200, a800)
+		}
+	}
+}

@@ -3,9 +3,13 @@ package core
 import (
 	"fmt"
 	"io"
+	"sort"
+	"sync"
 
 	"textjoin/internal/accum"
+	"textjoin/internal/codec"
 	"textjoin/internal/collection"
+	"textjoin/internal/document"
 	"textjoin/internal/invfile"
 	"textjoin/internal/iosim"
 	"textjoin/internal/telemetry"
@@ -28,12 +32,35 @@ import (
 // The per-pass similarity store is an accum.Accumulator: a dense
 // range×N1 matrix when it fits M, an open-addressing table otherwise —
 // never a Go map, whose hashing dominated the accumulation hot loop.
+// A memory-resident query batch cannot be the outer side: it has no
+// inverted file.
 //
 // When Inputs.Outer is a selection subset, only i-cells of its documents
 // accumulate — but the inverted files are still scanned in full, the
 // paper's point that "the sizes of the inverted files will remain the same
 // even if the number of documents ... can be reduced by a selection".
 func JoinVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
+	return joinVVM(in, opts, 1)
+}
+
+// JoinVVMParallel is VVM with the per-term accumulation fanned out by
+// outer-document ownership (resolveWorkers maps 0 to GOMAXPROCS). Worker
+// w owns a contiguous block of the pass's outer-id ranks, so the
+// merge-scan goroutine (still one sequential sweep of each inverted file
+// per pass, exactly as with one worker) splits each outer entry's cell
+// list by owner with binary searches and routes each worker only its own
+// sub-slice — no worker ever scans cells it does not own. Each worker
+// accumulates into its own shard (dense rows or an open-addressing table,
+// by the same regime choice) and emits the results for its rank block,
+// so the finalize/top-λ step parallelizes too. Partitioning (⌈SM/M⌉
+// passes) is unchanged.
+func JoinVVMParallel(in Inputs, opts Options, workers int) ([]Result, *Stats, error) {
+	return joinVVM(in, opts, resolveWorkers(workers))
+}
+
+// joinVVM is VVM's one executor; workers ≥ 1, and 1 is the serial
+// algorithm.
+func joinVVM(in Inputs, opts Options, workers int) ([]Result, *Stats, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, nil, err
@@ -52,161 +79,265 @@ func JoinVVM(in Inputs, opts Options) ([]Result, *Stats, error) {
 		return nil, nil, err
 	}
 
-	plan, err := vvmPlan(in, opts)
+	outerIDs, passes, passBytes, err := vvmPlan(in, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := plan.stats
 	n1 := int(in.Inner.NumDocs())
+	stats := &Stats{Algorithm: VVM, InnerDocs: int64(n1), OuterDocs: int64(len(outerIDs))}
+	files := []*iosim.File{in.InnerInv.File(), in.OuterInv.File()}
+	for _, inv := range []*invfile.InvertedFile{in.InnerInv, in.OuterInv} {
+		if inv.Tree() != nil {
+			files = append(files, inv.Tree().File())
+		}
+	}
+	track := trackIO(files...)
 	tel, trace := opts.Telemetry, opts.Trace
 	occupancy := tel.Histogram("vvm.accum.occupancy", telemetry.DefaultSizeBuckets)
 
-	var results []Result
-	for p := 0; p < plan.passes; p++ {
-		rangeIDs := plan.rangeIDs(p)
-		if len(rangeIDs) == 0 {
-			continue
-		}
+	// Pass p joins the outer ids [p·N2/passes, (p+1)·N2/passes): never
+	// empty, since passes ≤ N2.
+	results := make([]Result, len(outerIDs))
+	for p := 0; p < passes; p++ {
+		lo, hi := p*len(outerIDs)/passes, (p+1)*len(outerIDs)/passes
+		ids := outerIDs[lo:hi]
 		stats.Passes++
-		set := accum.NewIDSet(rangeIDs)
-		acc := accum.New(len(rangeIDs), n1, plan.passBytes)
+		pass := newVVMPass(ids, workers, n1, passBytes)
+		pass.out = results[lo:hi]
 		if tel != nil {
-			tel.Counter("join.vvm.accum." + acc.Kind()).Add(1)
+			tel.Counter("join.vvm.accum." + pass.shards[0].acc.Kind()).Add(1)
 		}
 
 		merge := startPhase(tel, trace, telemetry.PhaseMerge, "vvm.merge-scan")
-		if err := mergeScan(in.InnerInv, in.OuterInv, true, func(term uint32, e1, e2 *invfile.Entry) {
-			factor := scorer.TermFactor(term)
-			if factor == 0 {
-				return
-			}
-			for _, c2 := range e2.Cells {
-				row, ok := set.Rank(c2.Number)
-				if !ok {
-					continue
+		if workers == 1 {
+			// Accumulate inline: the scanners' reuse arenas suffice,
+			// since each entry pair is consumed before the next is read.
+			sh := &pass.shards[0]
+			err = mergeScan(in.InnerInv, in.OuterInv, true, func(term uint32, e1, e2 *invfile.Entry) {
+				if factor := scorer.TermFactor(term); factor != 0 {
+					sh.accumulations += accumulateTerm(sh.acc, pass.set, 0, factor, e1.Cells, e2.Cells)
 				}
-				v := float64(c2.Weight) * factor
-				for _, c1 := range e1.Cells {
-					acc.Add(row, c1.Number, float64(c1.Weight)*v)
-				}
-				stats.Accumulations += int64(len(e1.Cells))
-			}
-		}); err != nil {
+			})
 			merge.End()
+			if err == nil {
+				finalize := startPhase(tel, trace, telemetry.PhaseFinalize, "vvm.emit-range")
+				pass.emit(sh, opts.Lambda, scorer)
+				finalize.End()
+			}
+		} else {
+			err = pass.fanOut(in, scorer, opts.Lambda)
+			merge.End()
+		}
+		if err != nil {
 			return nil, nil, err
 		}
-		merge.End()
 
-		if mem := acc.Bytes(); mem > stats.PeakMemoryBytes {
-			stats.PeakMemoryBytes = mem
-		}
-		occupancy.Observe(int64(acc.Len()))
-
-		// Emit the λ best matches for every outer document in the range,
-		// including documents with no non-zero similarity. rangeIDs is
-		// ascending, so row order is emission order.
-		finalize := startPhase(tel, trace, telemetry.PhaseFinalize, "vvm.emit-range")
-		trackers := make([]*topk.TopK, len(rangeIDs))
-		acc.ForEach(func(row int, inner uint32, raw float64) {
-			tk := trackers[row]
-			if tk == nil {
-				tk = topk.New(opts.Lambda)
-				trackers[row] = tk
+		var memBytes, cells int64
+		for w, sh := range pass.shards {
+			stats.Accumulations += sh.accumulations
+			memBytes += sh.acc.Bytes()
+			if occupancy != nil {
+				cells += int64(sh.acc.Len())
 			}
-			tk.Offer(inner, scorer.Finalize(rangeIDs[row], inner, raw))
-		})
-		for row, id := range rangeIDs {
-			var matches []Match
-			if tk := trackers[row]; tk != nil {
-				matches = tk.Results()
+			if workers > 1 && tel != nil {
+				tel.Counter(fmt.Sprintf("join.vvm.worker.%d.accumulations", w)).Add(sh.accumulations)
 			}
-			results = append(results, Result{Outer: id, Matches: matches})
 		}
-		finalize.End()
+		if memBytes > stats.PeakMemoryBytes {
+			stats.PeakMemoryBytes = memBytes
+		}
+		occupancy.Observe(cells)
 	}
 
-	stats.IO = plan.track.delta()
+	stats.IO = track.delta()
 	stats.Cost = stats.IO.Cost(alpha(in.InnerInv.File()))
 	recordJoinStats(tel, stats)
 	return results, stats, nil
 }
 
-// vvmPlanned is the partitioning shared by the serial and parallel VVM
-// variants: the outer id list (always ascending — 0..N2-1 for a full
-// collection, Subset.IDs order for a selection), the pass count, and the
-// per-pass accumulator budget M in bytes.
-type vvmPlanned struct {
-	outerIDs  []uint32
-	passes    int
-	passBytes int64
-	stats     *Stats
-	track     *ioTracker
+// vvmPass is one partition's accumulation state, split into owner
+// shards over the pass's ascending outer ids.
+type vvmPass struct {
+	ids    []uint32
+	set    *accum.IDSet // rank of each outer id in ids
+	shards []vvmShard
+	out    []Result // the pass's result rows, by rank
 }
 
-// rangeIDs returns pass p's slice of the outer ids.
-func (pl *vvmPlanned) rangeIDs(p int) []uint32 {
-	lo := p * len(pl.outerIDs) / pl.passes
-	hi := (p + 1) * len(pl.outerIDs) / pl.passes
-	return pl.outerIDs[lo:hi]
+// vvmShard owns the contiguous rank block [lo, hi) of its pass; its
+// accumulator numbers rows from lo.
+type vvmShard struct {
+	lo, hi        int
+	acc           accum.Accumulator
+	accumulations int64
 }
 
-// vvmPlan computes the outer id list, pass count, pass memory budget, base
-// statistics and I/O tracker shared by the serial and parallel VVM
-// variants.
-func vvmPlan(in Inputs, opts Options) (*vvmPlanned, error) {
-	// The outer document ids to join: all of C2, or the selection.
-	var outerIDs []uint32
+// newVVMPass splits ids into shards rank blocks, each with an
+// accumulator of the regime the whole pass fits: dense rows when the
+// pass's full matrix fits budget, an open-addressing table otherwise —
+// never a Go map.
+func newVVMPass(ids []uint32, shards, n1 int, budget int64) *vvmPass {
+	p := &vvmPass{ids: ids, set: accum.NewIDSet(ids), shards: make([]vvmShard, shards)}
+	dense := accum.UseDense(len(ids), n1, budget)
+	for w := range p.shards {
+		sh := &p.shards[w]
+		sh.lo, sh.hi = w*len(ids)/shards, (w+1)*len(ids)/shards
+		if dense {
+			sh.acc = accum.NewDense(sh.hi-sh.lo, n1)
+		} else {
+			sh.acc = accum.NewTable(0)
+		}
+	}
+	return p
+}
+
+// accumulateTerm adds one common term's contribution to acc: for every
+// outer cell whose document is in set, with rank r, it adds u·v for each
+// inner cell to row r−rowBase. It returns the number of accumulations.
+func accumulateTerm(acc accum.Accumulator, set *accum.IDSet, rowBase int, factor float64, inner, outer []codec.Cell) int64 {
+	var n int64
+	for _, c2 := range outer {
+		rank, ok := set.Rank(c2.Number)
+		if !ok {
+			continue
+		}
+		v := float64(c2.Weight) * factor
+		row := rank - rowBase
+		for _, c1 := range inner {
+			acc.Add(row, c1.Number, float64(c1.Weight)*v)
+		}
+		n += int64(len(inner))
+	}
+	return n
+}
+
+// emit writes shard sh's result rows: the λ best matches of every outer
+// document in its block, including documents with no non-zero
+// similarity. Shards write disjoint rows, so workers need no locking.
+func (p *vvmPass) emit(sh *vvmShard, lambda int, scorer *document.Scorer) {
+	ids, out := p.ids[sh.lo:sh.hi], p.out[sh.lo:sh.hi]
+	trackers := make([]*topk.TopK, len(ids))
+	sh.acc.ForEach(func(row int, inner uint32, raw float64) {
+		tk := trackers[row]
+		if tk == nil {
+			tk = topk.New(lambda)
+			trackers[row] = tk
+		}
+		tk.Offer(inner, scorer.Finalize(ids[row], inner, raw))
+	})
+	for row, tk := range trackers {
+		var matches []Match
+		if tk != nil {
+			matches = tk.Results()
+		}
+		out[row] = Result{Outer: ids[row], Matches: matches}
+	}
+}
+
+// vvmTermWork is one shard's share of a common-term entry pair: the
+// shard-owned contiguous sub-slice of the outer entry's i-cells, plus
+// the shared (read-only) inner entry's cells.
+type vvmTermWork struct {
+	factor float64
+	inner  []codec.Cell
+	outer  []codec.Cell
+}
+
+// fanOut runs the pass with one worker goroutine per shard. The
+// merge-scan stays on the calling goroutine and routes each common-term
+// pair: both the entry's cells and the rank blocks ascend by document
+// number, so one forward sweep with a binary search per block boundary
+// splits the cell list. Each worker emits its block once its channel
+// drains.
+func (p *vvmPass) fanOut(in Inputs, scorer *document.Scorer, lambda int) error {
+	chans := make([]chan vvmTermWork, len(p.shards))
+	var wg sync.WaitGroup
+	for w := range chans {
+		// The buffer lets the merge-scan run ahead of a shard whose
+		// terms are momentarily heavier than its neighbours'.
+		chans[w] = make(chan vvmTermWork, 128)
+		wg.Add(1)
+		go func(sh *vvmShard, work <-chan vvmTermWork) {
+			defer wg.Done()
+			var n int64 // a local tally: neighbouring shards share cache lines
+			for tw := range work {
+				n += accumulateTerm(sh.acc, p.set, sh.lo, tw.factor, tw.inner, tw.outer)
+			}
+			sh.accumulations = n
+			p.emit(sh, lambda, scorer)
+		}(&p.shards[w], chans[w])
+	}
+	// Routed entries outlive the callback inside worker channels, so the
+	// merge-scan must yield stable entries (reuse=false).
+	err := mergeScan(in.InnerInv, in.OuterInv, false, func(term uint32, e1, e2 *invfile.Entry) {
+		factor := scorer.TermFactor(term)
+		if factor == 0 {
+			return
+		}
+		cells := e2.Cells
+		i := 0
+		for w, sh := range p.shards {
+			if i == len(cells) {
+				break
+			}
+			if sh.lo == sh.hi {
+				continue
+			}
+			loID, hiID := p.ids[sh.lo], p.ids[sh.hi-1]
+			start := i + sort.Search(len(cells)-i, func(k int) bool { return cells[i+k].Number >= loID })
+			end := start + sort.Search(len(cells)-start, func(k int) bool { return cells[start+k].Number > hiID })
+			i = end
+			if start < end {
+				chans[w] <- vvmTermWork{factor: factor, inner: e1.Cells, outer: cells[start:end]}
+			}
+		}
+	})
+	for _, ch := range chans {
+		close(ch)
+	}
+	wg.Wait()
+	return err
+}
+
+// vvmPlan partitions the join: the outer ids (always ascending — 0..N2-1
+// for a full collection, Subset.IDs order for a selection), the pass
+// count ⌈SM/M⌉ (at most one pass per outer document) and the per-pass
+// accumulator budget M in bytes.
+func vvmPlan(in Inputs, opts Options) (outerIDs []uint32, passes int, mBytes int64, err error) {
 	if sub, ok := in.Outer.(*collection.Subset); ok {
 		outerIDs = sub.IDs()
 	} else {
-		n := in.Outer.NumDocs()
-		outerIDs = make([]uint32, n)
+		outerIDs = make([]uint32, in.Outer.NumDocs())
 		for i := range outerIDs {
 			outerIDs[i] = uint32(i)
 		}
 	}
 
-	// Partitioning: ⌈SM/M⌉ ranges of the outer ids.
 	pageSize := int64(in.InnerInv.File().PageSize())
-	n1 := in.Inner.NumDocs()
-	n2 := int64(len(outerIDs))
-	smBytes := int64(4 * opts.Delta * float64(n1) * float64(n2))
+	smBytes := int64(4 * opts.Delta * float64(in.Inner.NumDocs()) * float64(len(outerIDs)))
 	j1Pages := iosim.PagesForBytes(int64(in.InnerInv.Stats().J*float64(pageSize)+0.999), int(pageSize))
 	j2Pages := iosim.PagesForBytes(int64(in.OuterInv.Stats().J*float64(pageSize)+0.999), int(pageSize))
-	mBytes := opts.MemoryPages*pageSize - (j1Pages+j2Pages)*pageSize
+	mBytes = opts.MemoryPages*pageSize - (j1Pages+j2Pages)*pageSize
 	if mBytes <= 0 {
-		return nil, fmt.Errorf("%w: B=%d pages cannot hold one inverted entry from each file", ErrInsufficientMemory, opts.MemoryPages)
+		return nil, 0, 0, fmt.Errorf("%w: B=%d pages cannot hold one inverted entry from each file", ErrInsufficientMemory, opts.MemoryPages)
 	}
-	passes := 1
+	passes = 1
 	if smBytes > mBytes {
 		passes = int((smBytes + mBytes - 1) / mBytes)
 	}
-	if passes > len(outerIDs) && len(outerIDs) > 0 {
+	if passes > len(outerIDs) {
 		passes = len(outerIDs)
 	}
-	if len(outerIDs) == 0 {
-		passes = 0
-	}
-
-	stats := &Stats{Algorithm: VVM, InnerDocs: n1, OuterDocs: n2}
-	var treeFiles []*iosim.File
-	if in.InnerInv.Tree() != nil {
-		treeFiles = append(treeFiles, in.InnerInv.Tree().File())
-	}
-	if in.OuterInv.Tree() != nil {
-		treeFiles = append(treeFiles, in.OuterInv.Tree().File())
-	}
-	track := trackIO(append([]*iosim.File{in.InnerInv.File(), in.OuterInv.File()}, treeFiles...)...)
-	return &vvmPlanned{outerIDs: outerIDs, passes: passes, passBytes: mBytes, stats: stats, track: track}, nil
+	return outerIDs, passes, mBytes, nil
 }
 
 // mergeScan runs one parallel scan over both inverted files, invoking fn
 // for every term present in both (e1 from inner/C1, e2 from outer/C2).
 //
 // With reuse, entries are yielded from the scanners' arenas and are valid
-// only for the duration of fn (the serial VVM's accumulation consumes them
+// only for the duration of fn (one-worker VVM accumulates them
 // immediately); callers whose fn retains entries or sub-slices of their
-// cells — the parallel VVM routes both across worker channels — must pass
+// cells — VVM's fan-out routes them across worker channels — must pass
 // reuse=false to get stable, freshly allocated entries.
 func mergeScan(inner, outer *invfile.InvertedFile, reuse bool, fn func(term uint32, e1, e2 *invfile.Entry)) error {
 	s1 := inner.Scan()

@@ -203,18 +203,12 @@ type (
 	TelemetryOption = telemetry.Option
 	// TelemetrySnapshot is a point-in-time copy of a collector's state.
 	TelemetrySnapshot = telemetry.Snapshot
-	// TelemetrySink renders a snapshot as text or JSON.
-	TelemetrySink = telemetry.Sink
 )
 
 // NewTelemetry creates an enabled collector. Attach it to a join via
 // Options.Telemetry (or QueryOptions.Telemetry) and to the storage layer
-// via Workspace.SetTelemetry; read it back with its Snapshot method and
-// a TelemetrySink.
+// via Workspace.SetTelemetry; read it back with its Snapshot method.
 func NewTelemetry(opts ...TelemetryOption) *Telemetry { return telemetry.New(opts...) }
-
-// TelemetrySinkFor maps "text" or "json" to a sink.
-func TelemetrySinkFor(mode string) (TelemetrySink, error) { return telemetry.SinkFor(mode) }
 
 // MetricsExporter serves a collector as a Prometheus text exposition,
 // computing per-second rates between successive scrapes.
@@ -226,10 +220,6 @@ type MetricsExporter = metrics.Exporter
 func NewMetricsExporter(t *Telemetry, opts ...MetricsExporterOption) *MetricsExporter {
 	return metrics.NewExporter(t, opts...)
 }
-
-// EncodeMetrics renders one snapshot as Prometheus exposition text, with
-// the stable textjoin_* naming scheme (see DESIGN.md §10).
-func EncodeMetrics(w io.Writer, s *TelemetrySnapshot) error { return metrics.Encode(w, s) }
 
 // TraceStreamHandler serves a collector's trace ring as JSON Lines (one
 // telemetry entry per line); the since query parameter tails entries
@@ -588,10 +578,10 @@ func JoinVVMParallel(in Inputs, opts Options, workers int) ([]Result, *JoinStats
 	return core.JoinVVMParallel(in, opts, workers)
 }
 
-// JoinHVNLParallel runs HVNL with probe-side accumulation fanned out over
-// workers owning disjoint inner-id blocks; the B+tree lookups, entry
-// fetches and cache stay single-threaded in serial order, so I/O and
-// cache statistics match the serial algorithm exactly.
+// JoinHVNLParallel runs serial HVNL at every worker count: fanning its
+// per-document probes out measured slower than one goroutine (see
+// core.JoinHVNLParallel). It keeps the (in, opts, workers) entry point
+// the other algorithms share.
 func JoinHVNLParallel(in Inputs, opts Options, workers int) ([]Result, *JoinStats, error) {
 	return core.JoinHVNLParallel(in, opts, workers)
 }
@@ -678,13 +668,6 @@ func (w *Workspace) OpenLSH(c *Collection) (*LSHSidecar, error) {
 		return nil, err
 	}
 	return lsh.Open(f)
-}
-
-// EstimateLSHRecall returns the banding S-curve 1 − (1 − s^rows)^bands:
-// the probability that a pair of Jaccard similarity s becomes a
-// candidate under the given shape.
-func EstimateLSHRecall(bands, rows int, s float64) float64 {
-	return lsh.EstimateRecall(bands, rows, s)
 }
 
 // JoinLSH runs the approximate MinHash/banding join: candidate pairs

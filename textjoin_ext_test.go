@@ -1,6 +1,7 @@
 package textjoin
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -153,6 +154,45 @@ func TestPublicExtendedCostModel(t *testing.T) {
 		}
 		if b.Total() <= extended[i].Total() {
 			t.Errorf("%v: total did not grow", b.Algorithm)
+		}
+	}
+}
+
+// A memory-resident query batch has no inverted file, so VVM must reject
+// it as the outer side at every worker count — the parallel executor
+// shares the serial validation rather than silently joining OuterInv's
+// documents instead of the batch.
+func TestPublicVVMParallelRejectsBatch(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	ws := NewWorkspace(WithPageSize(256))
+	c1, err := ws.NewCollection("c1", randomDocuments(r, 20, 40, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := ws.NewCollection("c2", randomDocuments(r, 12, 40, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv1, err := ws.BuildInvertedFile(c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv2, err := ws.BuildInvertedFile(c2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := NewBatch("q", randomDocuments(r, 5, 40, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := Inputs{Outer: batch, Inner: c1, InnerInv: inv1, OuterInv: inv2}
+	for _, workers := range []int{1, 2, 7} {
+		res, st, err := JoinVVMParallel(in, Options{Lambda: 3, MemoryPages: 200}, workers)
+		if !errors.Is(err, ErrMissingInput) {
+			t.Errorf("workers=%d: err = %v, want ErrMissingInput", workers, err)
+		}
+		if res != nil || st != nil {
+			t.Errorf("workers=%d: %d rows and stats %v returned alongside the error", workers, len(res), st)
 		}
 	}
 }
