@@ -23,9 +23,9 @@ test: build
 # joins. The core run includes the differential harness (telemetry
 # on/off invariance, concurrent snapshots). It finishes with the
 # observability smokes: the self-driving textjoind endpoint check, the
-# load-generator gate, the SLO/error-budget gate, and the
-# baseline-checked benchmark grids.
-verify: obs-smoke loadgen-smoke slo-smoke bench-json bench-prefilter bench-lsh
+# CLI telemetry snapshot check, the load-generator gate, the
+# SLO/error-budget gate, and the baseline-checked benchmark grids.
+verify: obs-smoke trace-smoke loadgen-smoke slo-smoke bench-json bench-prefilter bench-lsh
 	$(GO) vet ./...
 	$(GO) run ./cmd/lintcheck
 	$(GO) test -race ./internal/core/... ./internal/accum/... ./internal/entrycache/... ./internal/telemetry/... ./internal/metrics/... ./internal/reqtrace/... ./internal/slo/... ./internal/analysis/... ./cmd/textjoind/...
@@ -61,7 +61,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
 # trace-smoke runs a real join with -telemetry json and validates the
-# emitted snapshot against the exporter schema (cmd/tracecheck). The
+# emitted snapshot against the exporter schema (cmd/tracecheck); its
+# phase histograms come from folding the join's request trace. The
 # snapshot goes to stderr, results to stdout, so 2>&1 1>/dev/null routes
 # only the snapshot into the checker.
 trace-smoke:
@@ -69,18 +70,23 @@ trace-smoke:
 
 # obs-smoke boots textjoind on an ephemeral loopback port, drives every
 # endpoint (/healthz, /join serial and parallel, /metrics twice so rate
-# gauges appear, /traces, /debug/pprof/), validates the exposition with
-# the strict parser and the trace stream with the tracecheck schema, and
-# shuts down cleanly — all in-process, no curl needed.
+# gauges appear, /debug/requests, /debug/pprof/), validates the
+# exposition (per-phase textjoin_phase_ns included) with the strict
+# parser and a request trace with the reqtrace schema, checks that the
+# retired /traces answers 404, and shuts down cleanly — all in-process,
+# no curl needed.
 obs-smoke:
 	$(GO) run ./cmd/textjoind -smoke
 
 # bench-json runs the benchmark observatory grid (shapes × algorithms ×
 # worker counts over the deterministic simulated store), writes the
-# machine-readable report and the cost-model calibration audit, and
-# fails if any cell regressed against the checked-in baseline.
+# machine-readable report to a temporary file (BENCH_JSON) and the
+# cost-model calibration audit to CALIBRATION_PR4.md, and fails if any
+# cell regressed against the checked-in baseline. Regenerate the
+# baseline with: go run ./cmd/benchreport -json BENCH_BASELINE.json
+BENCH_JSON ?= $(or $(TMPDIR),/tmp)/textjoin-bench.json
 bench-json:
-	$(GO) run ./cmd/benchreport -q -json BENCH_PR4.json -baseline BENCH_BASELINE.json -calibrate -calreport CALIBRATION_PR4.md
+	$(GO) run ./cmd/benchreport -q -json $(BENCH_JSON) -baseline BENCH_BASELINE.json -calibrate -calreport CALIBRATION_PR4.md
 
 # loadgen-smoke is the CI check for the concurrent serving path: boot a
 # real textjoind on a loopback port, fire a short open-loop run over the

@@ -19,6 +19,7 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+	"time"
 
 	"textjoin/internal/accum"
 	"textjoin/internal/cluster"
@@ -188,8 +189,10 @@ func BenchmarkMeasuredVVM(b *testing.B) {
 }
 
 // BenchmarkTelemetryOverhead measures what the instrumentation layer
-// costs each measured join: disabled (nil collector — the default) vs
-// enabled (collector attached to both the disk and the join). The
+// costs each measured join: disabled (nil collector, nil trace — the
+// default) vs enabled (collector attached to both the disk and the
+// join, the join traced under a root span whose finished tree is folded
+// into the phase histograms, as textjoind does per request). The
 // disabled sub-benchmarks first assert that the nil-collector primitives
 // allocate nothing, so even a 1x bench-smoke run fails if the disabled
 // path regresses.
@@ -206,8 +209,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			if allocs := testing.AllocsPerRun(100, func() {
 				tel.Counter("x").Add(1)
 				tel.Histogram("h", telemetry.DefaultSizeBuckets).Observe(1)
-				tel.StartSpan(telemetry.PhaseScan, "s").End()
-				tel.Event(telemetry.PhaseIO, "e", 1)
 			}); allocs != 0 {
 				b.Fatalf("disabled telemetry path allocates %v/op, want 0", allocs)
 			}
@@ -239,14 +240,17 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		b.Run(a.name+"/enabled", func(b *testing.B) {
 			tel := telemetry.New()
 			env.d.SetCollector(tel)
+			tracer := reqtrace.NewTracer(1, time.Now)
 			o := opts
 			o.Telemetry = tel
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				o.Trace = tracer.StartTrace("join")
 				if _, _, err := core.Join(a.alg, env.in, o); err != nil {
 					b.Fatal(err)
 				}
+				core.RecordPhases(tel, o.Trace.Data())
 			}
 			b.StopTimer()
 			env.d.SetCollector(nil)

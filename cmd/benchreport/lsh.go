@@ -170,7 +170,7 @@ func buildLSHShape(sh pfShape, cfg BenchConfig, lcfg *textjoin.LSHConfig) (*shap
 }
 
 // runLSHCell is the approximate counterpart of runCell: same parked
-// heads, same telemetry, with the sidecar offered through Options.LSH
+// heads, same options, with the sidecar offered through Options.LSH
 // and the LSH skip/probe counters landing in the cell.
 func runLSHCell(env *shapeEnv, sc *textjoin.LSHSidecar, cfg BenchConfig, shapeName string, lcfg textjoin.LSHConfig, workers int) (Cell, []textjoin.Result, error) {
 	env.ws.ParkHeads()

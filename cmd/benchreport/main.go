@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	benchreport -json BENCH_PR4.json -baseline BENCH_BASELINE.json
+//	benchreport -json report.json -baseline BENCH_BASELINE.json
 //	benchreport -calibrate -calreport CALIBRATION_PR4.md
 package main
 

@@ -11,7 +11,6 @@ import (
 	"textjoin/internal/core"
 	"textjoin/internal/corpus"
 	"textjoin/internal/costmodel"
-	"textjoin/internal/telemetry"
 )
 
 // BenchConfig fixes every input of the experiment grid; two runs with
@@ -101,9 +100,9 @@ type CalibrationSample struct {
 // CalibrationReport is the cost-model audit section of the report.
 type CalibrationReport struct {
 	Samples []CalibrationSample `json:"samples"`
-	// PlannerSamples are extracted by replaying the integrated runs'
-	// telemetry plan events through core.PlanSamples — the live-trace
-	// counterpart of the full-grid Samples above.
+	// PlannerSamples pair each integrated run's decision with its own
+	// measured cost through core.PlanSamples — the live-run counterpart
+	// of the full-grid Samples above.
 	PlannerSamples []CalibrationSample `json:"planner_samples"`
 	Mispicks       []struct {
 		Label         string  `json:"label"`
@@ -185,7 +184,7 @@ func runGrid(cfg BenchConfig, calibrate bool) (*Report, error) {
 		}
 
 		// The planner's view of the same shape.
-		ic, samples, err := runIntegrated(env, cfg, sh.name, measured)
+		ic, samples, planned, err := runIntegrated(env, cfg, sh.name, measured)
 		if err != nil {
 			return nil, fmt.Errorf("%s: integrated: %v", sh.name, err)
 		}
@@ -200,7 +199,7 @@ func runGrid(cfg BenchConfig, calibrate bool) (*Report, error) {
 					return nil, err
 				}
 			}
-			planner = append(planner, extractPlannerSamples(env.tel, sh.name)...)
+			planner = append(planner, planned...)
 		}
 	}
 
@@ -229,7 +228,6 @@ type shapeEnv struct {
 	ws         *textjoin.Workspace
 	c1, c2     *textjoin.Collection
 	inv1, inv2 *textjoin.InvertedFile
-	tel        *textjoin.Telemetry
 }
 
 func buildShape(sh shape, cfg BenchConfig) (*shapeEnv, error) {
@@ -268,10 +266,8 @@ func buildShape(sh shape, cfg BenchConfig) (*shapeEnv, error) {
 	if _, err := inv2.LoadIndex(); err != nil {
 		return nil, err
 	}
-	tel := textjoin.NewTelemetry()
 	ws.ResetIOStats()
-	ws.SetTelemetry(tel)
-	return &shapeEnv{ws: ws, c1: c1, c2: c2, inv1: inv1, inv2: inv2, tel: tel}, nil
+	return &shapeEnv{ws: ws, c1: c1, c2: c2, inv1: inv1, inv2: inv2}, nil
 }
 
 func (e *shapeEnv) inputs() textjoin.Inputs {
@@ -279,7 +275,7 @@ func (e *shapeEnv) inputs() textjoin.Inputs {
 }
 
 func (e *shapeEnv) options(cfg BenchConfig) textjoin.Options {
-	return textjoin.Options{Lambda: cfg.Lambda, MemoryPages: cfg.MemoryPages, Telemetry: e.tel}
+	return textjoin.Options{Lambda: cfg.Lambda, MemoryPages: cfg.MemoryPages}
 }
 
 // runCell measures one (shape, algorithm, workers) grid point. The raw
@@ -324,17 +320,19 @@ func runCell(env *shapeEnv, cfg BenchConfig, shapeName string, alg textjoin.Algo
 
 // runIntegrated runs the planner on the shape and pairs its estimates
 // with the measured workers=1 costs of the grid, producing one
-// calibration sample per algorithm.
-func runIntegrated(env *shapeEnv, cfg BenchConfig, shapeName string, measured map[string]float64) (IntegratedCell, []CalibrationSample, error) {
+// calibration sample per algorithm, plus the planner sample pairing the
+// chosen estimate with the integrated run's own measured cost (labels
+// prefixed with the shape so grid cells stay distinct).
+func runIntegrated(env *shapeEnv, cfg BenchConfig, shapeName string, measured map[string]float64) (IntegratedCell, []CalibrationSample, []CalibrationSample, error) {
 	env.ws.ParkHeads()
 	in, opts := env.inputs(), env.options(cfg)
 	dec, err := textjoin.Choose(in, opts)
 	if err != nil {
-		return IntegratedCell{}, nil, err
+		return IntegratedCell{}, nil, nil, err
 	}
 	_, stats, _, err := textjoin.JoinIntegrated(in, opts)
 	if err != nil {
-		return IntegratedCell{}, nil, err
+		return IntegratedCell{}, nil, nil, err
 	}
 	ic := IntegratedCell{
 		Shape:     shapeName,
@@ -350,22 +348,16 @@ func runIntegrated(env *shapeEnv, cfg BenchConfig, shapeName string, measured ma
 			samples = append(samples, CalibrationSample{Label: shapeName, Algorithm: name, Estimated: est.Seq, Measured: m})
 		}
 	}
-	return ic, samples, nil
-}
-
-// extractPlannerSamples replays the shape's telemetry plan events; the
-// labels are re-prefixed with the shape so grid cells stay distinct.
-func extractPlannerSamples(tel *telemetry.Collector, shapeName string) []CalibrationSample {
-	var out []CalibrationSample
-	for _, s := range core.PlanSamples(tel.Snapshot()) {
-		out = append(out, CalibrationSample{
+	var planned []CalibrationSample
+	for _, s := range core.PlanSamples(dec, stats) {
+		planned = append(planned, CalibrationSample{
 			Label:     shapeName + "/" + s.Label,
 			Algorithm: s.Algorithm.String(),
 			Estimated: s.Estimated,
 			Measured:  s.Measured,
 		})
 	}
-	return out
+	return ic, samples, planned, nil
 }
 
 // hashResults fingerprints a result set: outer ids, match ids and the

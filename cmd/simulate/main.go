@@ -16,10 +16,13 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
+	"textjoin/internal/core"
 	"textjoin/internal/corpus"
 	"textjoin/internal/costmodel"
 	"textjoin/internal/metrics"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/simulate"
 	"textjoin/internal/telemetry"
 )
@@ -98,18 +101,25 @@ func run(group string, scale, mem, seed int64, telemetryMode, promPath string) e
 		if promPath != "" && tel == nil {
 			tel = telemetry.New()
 		}
+		// One root span collects every join's phase spans; its finished
+		// tree feeds the collector's phase histograms.
+		var root *reqtrace.Span
+		if tel != nil {
+			root = reqtrace.NewTracer(uint64(seed), time.Now).StartTrace("simulate measured")
+		}
 		for _, pair := range [][2]corpus.Profile{
 			{corpus.WSJ, corpus.WSJ},
 			{corpus.FR, corpus.FR},
 			{corpus.DOE, corpus.DOE},
 			{corpus.WSJ, corpus.DOE},
 		} {
-			res, err := simulate.MeasuredTelemetry(pair[0], pair[1], scale, mem, seed, tel)
+			res, err := simulate.MeasuredTelemetry(pair[0], pair[1], scale, mem, seed, tel, root)
 			if err != nil {
 				return err
 			}
 			fmt.Println(res.Format())
 		}
+		core.RecordPhases(tel, root.Data())
 		if sink != nil {
 			if err := sink.Export(os.Stderr, tel.Snapshot()); err != nil {
 				return err

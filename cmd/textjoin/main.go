@@ -20,6 +20,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"time"
 
 	"textjoin/internal/collection"
 	"textjoin/internal/core"
@@ -28,6 +29,7 @@ import (
 	"textjoin/internal/invfile"
 	"textjoin/internal/iosim"
 	"textjoin/internal/metrics"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 )
 
@@ -48,11 +50,14 @@ func main() {
 	queries := flag.String("queries", "", "run a memory-resident query batch (portable text format) against C1 instead of a stored C2")
 	saveDisk := flag.String("save-disk", "", "after building, snapshot the whole simulated disk to this file")
 	telemetryMode := flag.String("telemetry", "", "emit a telemetry snapshot to stderr after the join: text or json")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); with -telemetry also /metrics and /traces")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); with -telemetry also /metrics")
 	flag.Parse()
 
 	var tel *telemetry.Collector
 	var sink telemetry.Sink
+	// With -telemetry the join also runs under a root span; its finished
+	// tree feeds the collector's per-phase duration histograms.
+	var root *reqtrace.Span
 	if *telemetryMode != "" {
 		var err error
 		sink, err = telemetry.SinkFor(*telemetryMode)
@@ -61,13 +66,13 @@ func main() {
 			os.Exit(1)
 		}
 		tel = telemetry.New()
+		root = reqtrace.NewTracer(uint64(*seed), time.Now).StartTrace("textjoin")
 	}
 	if *pprofAddr != "" {
 		// Alongside pprof, expose the live collector (when -telemetry is
-		// on) in the same formats textjoind serves.
+		// on) in the format textjoind serves.
 		if tel != nil {
 			http.Handle("/metrics", metrics.NewExporter(tel))
-			http.Handle("/traces", metrics.TraceHandler(tel))
 		}
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -78,15 +83,16 @@ func main() {
 
 	var err error
 	if *queries != "" {
-		err = runBatch(*c1Path, *p1, *scale, *seed, *queries, *lambda, *mem, *alpha, *weighting, *show, tel)
+		err = runBatch(*c1Path, *p1, *scale, *seed, *queries, *lambda, *mem, *alpha, *weighting, *show, tel, root)
 	} else {
-		err = run(*c1Path, *c2Path, *p1, *p2, *scale, *seed, *alg, *lambda, *mem, *alpha, *weighting, *show, *explain, *saveDisk, tel)
+		err = run(*c1Path, *c2Path, *p1, *p2, *scale, *seed, *alg, *lambda, *mem, *alpha, *weighting, *show, *explain, *saveDisk, tel, root)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "textjoin:", err)
 		os.Exit(1)
 	}
 	if tel != nil {
+		core.RecordPhases(tel, root.Data())
 		if err := sink.Export(os.Stderr, tel.Snapshot()); err != nil {
 			fmt.Fprintln(os.Stderr, "textjoin: telemetry export:", err)
 			os.Exit(1)
@@ -113,7 +119,7 @@ func saveSnapshot(d *iosim.Disk, path string) error {
 // runBatch joins an ad-hoc query batch (no stored collection, no inverted
 // file on the batch) against C1 — the paper's batch-query scenario. The
 // integrated algorithm picks between HHNL and HVNL; VVM is inapplicable.
-func runBatch(c1Path, p1 string, scale, seed int64, queriesPath string, lambda int, mem int64, alphaRatio float64, weighting string, show int, tel *telemetry.Collector) error {
+func runBatch(c1Path, p1 string, scale, seed int64, queriesPath string, lambda int, mem int64, alphaRatio float64, weighting string, show int, tel *telemetry.Collector, trace *reqtrace.Span) error {
 	d := iosim.NewDisk(iosim.WithPageSize(4096), iosim.WithAlpha(alphaRatio))
 	c1, err := loadCollection(d, "c1", c1Path, p1, scale, seed)
 	if err != nil {
@@ -152,7 +158,7 @@ func runBatch(c1Path, p1 string, scale, seed int64, queriesPath string, lambda i
 		return err
 	}
 	in := core.Inputs{Outer: batch, Inner: c1, InnerInv: inv1}
-	opts := core.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Telemetry: tel}
+	opts := core.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Telemetry: tel, Trace: trace}
 	results, stats, dec, err := core.JoinIntegrated(in, opts)
 	if err != nil {
 		return err
@@ -201,7 +207,7 @@ func loadCollection(d *iosim.Disk, name, path, profileName string, scale, seed i
 	}
 }
 
-func run(c1Path, c2Path, p1, p2 string, scale, seed int64, algName string, lambda int, mem int64, alpha float64, weighting string, show int, explain bool, saveDisk string, tel *telemetry.Collector) error {
+func run(c1Path, c2Path, p1, p2 string, scale, seed int64, algName string, lambda int, mem int64, alpha float64, weighting string, show int, explain bool, saveDisk string, tel *telemetry.Collector, trace *reqtrace.Span) error {
 	d := iosim.NewDisk(iosim.WithPageSize(4096), iosim.WithAlpha(alpha))
 	c1, err := loadCollection(d, "c1", c1Path, p1, scale, seed)
 	if err != nil {
@@ -244,7 +250,7 @@ func run(c1Path, c2Path, p1, p2 string, scale, seed int64, algName string, lambd
 		return err
 	}
 	in := core.Inputs{Outer: c2, Inner: c1, InnerInv: inv1, OuterInv: inv2}
-	opts := core.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Telemetry: tel}
+	opts := core.Options{Lambda: lambda, MemoryPages: mem, Weighting: w, Telemetry: tel, Trace: trace}
 
 	st1, st2 := c1.Stats(), c2.Stats()
 	fmt.Printf("C1: %s  N=%d K=%.1f T=%d D=%d pages\n", c1.Name(), st1.N, st1.K, st1.T, st1.D)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"textjoin"
+	"textjoin/internal/core"
 	"textjoin/internal/corpus"
 	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
@@ -27,7 +28,6 @@ type config struct {
 	MemoryPages int64
 	Alpha       float64
 	Lambda      int
-	TraceCap    int
 	// BudgetBytes caps the summed footprint of concurrently running
 	// joins; QueueLen and QueueWait bound the FIFO wait queue behind
 	// it. Serialize charges every request the whole budget, restoring
@@ -63,7 +63,6 @@ func defaultConfig() config {
 		MemoryPages: 10000,
 		Alpha:       5,
 		Lambda:      5,
-		TraceCap:    4096,
 		BudgetBytes: 256 << 20,
 		QueueLen:    64,
 		QueueWait:   2 * time.Second,
@@ -82,8 +81,8 @@ func defaultConfig() config {
 // the workspace disk (its own head positions and counters over the same
 // immutable pages), so overlapping joins return results and stats
 // byte-identical to serial runs. The admitter bounds how many run at
-// once by their estimated memory footprints; /metrics, /traces and
-// /healthz bypass admission entirely and stay responsive under load.
+// once by their estimated memory footprints; /metrics, /debug/requests
+// and /healthz bypass admission entirely and stay responsive under load.
 type server struct {
 	cfg        config
 	ws         *textjoin.Workspace
@@ -156,7 +155,7 @@ func newServer(cfg config) (*server, error) {
 		return nil, err
 	}
 
-	tel := textjoin.NewTelemetry(telemetry.WithTraceCap(cfg.TraceCap))
+	tel := textjoin.NewTelemetry()
 	ws.ResetIOStats()
 	ws.SetTelemetry(tel)
 
@@ -221,9 +220,10 @@ func (s *server) timed(endpoint string, h http.Handler) http.Handler {
 // span for every request (linking to the caller's trace when a
 // Traceparent header is present), exposes it to the handler through the
 // request context, echoes the trace identity in the response
-// Traceparent header, and hands the finished tree to the flight
-// recorder when the handler returns — on every path, including panics
-// unwinding through the deferred Record.
+// Traceparent header, and when the handler returns folds the finished
+// tree's join phases into the phase histograms and hands it to the
+// flight recorder — on every path, including panics unwinding through
+// the deferred call.
 func (s *server) traced(name string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var span *textjoin.RequestSpan
@@ -236,7 +236,10 @@ func (s *server) traced(name string, h http.Handler) http.Handler {
 			w.Header().Set(reqtrace.TraceparentHeader,
 				reqtrace.FormatTraceparent(span.TraceID(), span.SpanID()))
 		}
-		defer s.recorder.Record(span)
+		defer func() {
+			core.RecordPhases(s.tel, span.Data())
+			s.recorder.Record(span)
+		}()
 		h.ServeHTTP(w, r.WithContext(reqtrace.NewContext(r.Context(), span)))
 	})
 }
@@ -248,7 +251,6 @@ func (s *server) handler() http.Handler {
 	debugRequests := s.timed("debug_requests", textjoin.FlightRecorderHandler(s.recorder, "/debug/requests"))
 	mux.Handle("/debug/requests", debugRequests)
 	mux.Handle("/debug/requests/", debugRequests)
-	mux.Handle("/traces", s.timed("traces", textjoin.TraceStreamHandler(s.tel)))
 	mux.Handle("/healthz", s.timed("healthz", http.HandlerFunc(s.handleHealth)))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -321,9 +323,15 @@ type joinMatch struct {
 	Sim float64 `json:"sim"`
 }
 
+// maxWorkers caps the workers parameter. Admission prices HHNL and LSH
+// without a per-worker term, so an uncapped count would be admitted at
+// the serial price and fan out that many goroutines.
+const maxWorkers = 64
+
 // handleJoin runs one join. Parameters: alg (auto, hhnl, hvnl, vvm, lsh;
-// default auto), lambda, workers (>1 selects the parallel variant of an
-// explicit algorithm), weighting (raw, cosine, tfidf), show (result rows
+// default auto), lambda (1 to the inner collection's size), workers (>1
+// selects the parallel variant of an explicit algorithm, at most
+// maxWorkers), weighting (raw, cosine, tfidf), show (result rows
 // to include, default 3), prefilter (on, off; default off) to offer the
 // signature sidecars to the join — results are byte-identical either
 // way, only the I/O pattern changes. mode (exact, lsh; default exact)
@@ -352,11 +360,20 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if err == nil && lambda <= 0 {
 		err = fmt.Errorf("lambda must be positive")
 	}
+	if n1 := s.c1.Stats().N; err == nil && int64(lambda) > n1 {
+		// Every tracker preallocates λ slots, and the admission
+		// footprint multiplies λ by the outer size: a λ beyond the inner
+		// collection buys no extra matches, only memory.
+		err = fmt.Errorf("parameter lambda: at most %d (the inner collection's size), got %d", n1, lambda)
+	}
 	if err != nil {
 		s.joinError(w, span, http.StatusBadRequest, err)
 		return
 	}
 	workers, err := intParam(r, "workers", 1)
+	if err == nil && workers > maxWorkers {
+		err = fmt.Errorf("parameter workers: at most %d, got %d", maxWorkers, workers)
+	}
 	if err != nil {
 		s.joinError(w, span, http.StatusBadRequest, err)
 		return
@@ -385,7 +402,8 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		mode = "lsh"
 	}
 	recall, err := floatParam(r, "recall", 0)
-	if err == nil && recall != 0 && (recall <= 0 || recall > 1) {
+	// Written so NaN, which fails every comparison, fails the range.
+	if err == nil && recall != 0 && !(recall > 0 && recall <= 1) {
 		err = fmt.Errorf("parameter recall: want a value in (0, 1], got %v", recall)
 	}
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +11,6 @@ import (
 	"testing"
 
 	"textjoin/internal/metrics"
-	"textjoin/internal/telemetry"
 )
 
 func testServer(t *testing.T, scale int64) (*server, *httptest.Server) {
@@ -86,12 +86,10 @@ func TestServerEndpoints(t *testing.T) {
 		}
 	}
 
-	status, body = get(t, hs, "/traces")
-	if status != 200 {
-		t.Fatalf("traces status %d", status)
-	}
-	if err := telemetry.ValidateJSONLines(body); err != nil {
-		t.Errorf("trace stream rejected: %v", err)
+	// The integrated join's plan span reaches the phase histograms
+	// through the request-trace fold.
+	if !strings.Contains(string(body), `textjoin_phase_ns_count{phase="plan"} 1`) {
+		t.Errorf("metrics lack the folded plan phase:\n%s", body)
 	}
 
 	for path, want := range map[string]int{
@@ -106,6 +104,56 @@ func TestServerEndpoints(t *testing.T) {
 	} {
 		if status, _ := get(t, hs, path); status != want {
 			t.Errorf("GET %s: status %d, want %d", path, status, want)
+		}
+	}
+}
+
+// TestJoinRejectsHostileParams: parameters that parse but would make a
+// join pathological are rejected with 400 before admission — no queue
+// span, no join. Only cheap out-of-range values are sent: the first
+// illegal λ and worker count, never a large one.
+func TestJoinRejectsHostileParams(t *testing.T) {
+	s, hs := testServer(t, 4096)
+	n1 := s.c1.Stats().N
+	cases := []struct {
+		path, param string
+	}{
+		{"/join?alg=auto&recall=NaN&show=0", "recall"},
+		{fmt.Sprintf("/join?alg=hvnl&lambda=%d&show=0", n1+1), "lambda"},
+		{fmt.Sprintf("/join?alg=hhnl&workers=%d&show=0", maxWorkers+1), "workers"},
+	}
+	for _, tc := range cases {
+		status, body := get(t, hs, tc.path)
+		if status != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400: %s", tc.path, status, body)
+			continue
+		}
+		var reply struct {
+			Error   string `json:"error"`
+			TraceID string `json:"trace_id"`
+		}
+		if err := json.Unmarshal(body, &reply); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(reply.Error, tc.param) {
+			t.Errorf("GET %s: error %q does not name %s", tc.path, reply.Error, tc.param)
+		}
+		for _, sp := range fetchTrace(t, hs, reply.TraceID).Spans {
+			if sp.Phase == "queue" || sp.Phase == "exec" {
+				t.Errorf("GET %s: rejected request reached %s", tc.path, sp.Phase)
+			}
+		}
+	}
+	if n := s.joins.Load(); n != 0 {
+		t.Errorf("%d joins ran, want 0", n)
+	}
+	// The largest legal values still run.
+	for _, path := range []string{
+		fmt.Sprintf("/join?alg=hvnl&lambda=%d&show=0", n1),
+		"/join?alg=auto&recall=1&show=0",
+	} {
+		if status, body := get(t, hs, path); status != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200: %s", path, status, body)
 		}
 	}
 }
@@ -172,10 +220,11 @@ func TestServerLSH(t *testing.T) {
 }
 
 // TestConcurrentScrapes is the acceptance check for the live scrape
-// path: /metrics and /traces are hammered while parallel HVNL and VVM
-// joins are in flight. Every exposition must parse and every trace
-// stream must validate; run under -race this also proves the scrape
-// path shares no unsynchronized state with the join hot path.
+// path: /metrics and the flight recorder listing are hammered while
+// parallel HVNL and VVM joins are in flight. Every exposition must
+// parse and every listing must decode; run under -race this also
+// proves the scrape path shares no unsynchronized state with the join
+// hot path.
 func TestConcurrentScrapes(t *testing.T) {
 	_, hs := testServer(t, 2048)
 
@@ -244,18 +293,19 @@ func TestConcurrentScrapes(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := hs.Client().Get(hs.URL + "/traces")
+			resp, err := hs.Client().Get(hs.URL + "/debug/requests?format=json")
 			if err != nil {
 				errs <- err
 				return
 			}
-			body, err := io.ReadAll(resp.Body)
+			var list struct {
+				Slowest, Recent []struct {
+					TraceID string `json:"trace_id"`
+				}
+			}
+			err = json.NewDecoder(resp.Body).Decode(&list)
 			resp.Body.Close()
 			if err != nil {
-				errs <- err
-				return
-			}
-			if err := telemetry.ValidateJSONLines(body); err != nil {
 				errs <- err
 				return
 			}

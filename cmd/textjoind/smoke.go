@@ -12,16 +12,16 @@ import (
 
 	"textjoin/internal/metrics"
 	"textjoin/internal/reqtrace"
-	"textjoin/internal/telemetry"
 )
 
 // runSmoke is the self-contained health check behind `textjoind -smoke`
 // (and `make obs-smoke`): it starts the server on an ephemeral loopback
 // port, drives every endpoint through real HTTP, validates the /metrics
-// exposition with the strict parser and the /traces stream with the
-// tracecheck schema, and shuts the listener down cleanly. Any failure
-// returns an error (non-zero exit) — no curl, jq or scrape tooling
-// needed in CI.
+// exposition (phase histograms included) with the strict parser and a
+// request trace with the reqtrace schema, checks that the retired
+// /traces stream answers 404, and shuts the listener down cleanly. Any
+// failure returns an error (non-zero exit) — no curl, jq or scrape
+// tooling needed in CI.
 func runSmoke(cfg config, out io.Writer) error {
 	// A small workspace keeps the smoke run under a second.
 	if cfg.Scale < 4096 {
@@ -192,6 +192,16 @@ func runSmoke(cfg config, out io.Writer) error {
 					return fmt.Errorf("exposition lacks %s", family)
 				}
 			}
+			// The joins above ran every phase of the taxonomy; each one
+			// reaches the exposition through the request-trace fold.
+			for _, phase := range []string{
+				reqtrace.PhaseSetup, reqtrace.PhaseScan, reqtrace.PhaseProbe, reqtrace.PhaseScore,
+				reqtrace.PhaseFlush, reqtrace.PhaseMerge, reqtrace.PhaseFinalize, reqtrace.PhasePlan,
+			} {
+				if series := `textjoin_phase_ns_count{phase="` + phase + `"}`; !strings.Contains(string(body), series) {
+					return fmt.Errorf("exposition lacks %s", series)
+				}
+			}
 			return nil
 		}},
 		{"metrics rates", func() error {
@@ -211,16 +221,18 @@ func runSmoke(cfg config, out io.Writer) error {
 			}
 			return nil
 		}},
-		{"traces stream", func() error {
-			body, err := get("/traces")
+		{"traces retired", func() error {
+			// Request traces are the only span model; the old global
+			// trace stream must stay gone.
+			resp, err := client.Get(base + "/traces")
 			if err != nil {
 				return err
 			}
-			if len(body) == 0 {
-				return fmt.Errorf("empty trace stream")
+			if err := resp.Body.Close(); err != nil {
+				return err
 			}
-			if err := telemetry.ValidateJSONLines(body); err != nil {
-				return fmt.Errorf("trace stream rejected: %v", err)
+			if resp.StatusCode != http.StatusNotFound {
+				return fmt.Errorf("/traces: want 404, got %d", resp.StatusCode)
 			}
 			return nil
 		}},

@@ -1,10 +1,9 @@
-// Command tracecheck validates telemetry exports: JSON snapshots (the
-// -telemetry json exporter schema: counters and histograms sorted and
-// well-formed, bucket counts consistent, trace entries strictly ordered),
-// per-request trace trees (the textjoind /debug/requests/{traceID}
-// format: a reqtrace span tree with exactly one root and resolvable
-// parents), and JSON Lines trace streams (the textjoind /traces format,
-// one trace entry per line). The format is auto-detected per input.
+// Command tracecheck validates telemetry exports in two formats, auto-
+// detected per input: JSON snapshots (the -telemetry json exporter
+// schema: counters and histograms sorted and well-formed, bucket counts
+// consistent) and per-request trace trees (the textjoind
+// /debug/requests/{traceID} format: a reqtrace span tree with exactly
+// one root and resolvable parents).
 //
 // With no arguments it reads stdin, so it can terminate a pipeline like
 //
@@ -75,12 +74,10 @@ func run(paths []string, stdin io.Reader, stdout, stderr io.Writer, quiet bool) 
 }
 
 // validate auto-detects the export format: the snapshot schema first,
-// then the per-request trace tree, then the JSON Lines trace stream.
-// Detection is unambiguous — each validator rejects unknown fields, and
-// the request-trace document is the only one carrying reqtrace_schema —
-// so the order only decides whose error message leads. An input valid
-// under any format passes; one valid under none reports all three
-// failures.
+// then the per-request trace tree. Detection is unambiguous — both
+// validators reject unknown fields, and only the request-trace document
+// carries reqtrace_schema — so the order only decides whose error
+// message leads. An input valid under neither reports both failures.
 func validate(data []byte) (string, error) {
 	snapErr := telemetry.ValidateJSON(data)
 	if snapErr == nil {
@@ -90,9 +87,5 @@ func validate(data []byte) (string, error) {
 	if reqErr == nil {
 		return "request trace", nil
 	}
-	lineErr := telemetry.ValidateJSONLines(data)
-	if lineErr == nil {
-		return "trace stream", nil
-	}
-	return "", fmt.Errorf("not a valid snapshot (%v), request trace (%v), nor trace stream (%v)", snapErr, reqErr, lineErr)
+	return "", fmt.Errorf("neither a valid snapshot (%v) nor a request trace (%v)", snapErr, reqErr)
 }

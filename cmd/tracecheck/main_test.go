@@ -15,14 +15,9 @@ import (
 
 func snapshotJSON(t *testing.T) []byte {
 	t.Helper()
-	tick := time.Unix(0, 0)
-	c := telemetry.New(telemetry.WithClock(func() time.Time {
-		tick = tick.Add(time.Millisecond)
-		return tick
-	}))
+	c := telemetry.New()
 	c.Counter("join.hhnl.outer_docs").Add(3)
-	c.Event(telemetry.PhasePlan, "estimate.hhnl.seq", 10)
-	c.StartSpan(telemetry.PhaseScan, "scan").End()
+	c.Histogram("phase.scan.ns", telemetry.DefaultLatencyBuckets).Observe(1000)
 	sink, err := telemetry.SinkFor("json")
 	if err != nil {
 		t.Fatal(err)
@@ -30,21 +25,6 @@ func snapshotJSON(t *testing.T) []byte {
 	var sb strings.Builder
 	if err := sink.Export(&sb, c.Snapshot()); err != nil {
 		t.Fatal(err)
-	}
-	return []byte(sb.String())
-}
-
-func jsonlStream(t *testing.T) []byte {
-	t.Helper()
-	var sb strings.Builder
-	enc := json.NewEncoder(&sb)
-	for i, name := range []string{"a", "b", "c"} {
-		if err := enc.Encode(telemetry.Entry{
-			Seq: uint64(i + 1), Kind: telemetry.KindEvent,
-			Phase: telemetry.PhaseIO, Name: name, StartNanos: int64(i),
-		}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return []byte(sb.String())
 }
@@ -62,12 +42,12 @@ func TestValidateFormats(t *testing.T) {
 	if f, err := validate(snapshotJSON(t)); err != nil || f != "snapshot" {
 		t.Errorf("snapshot: format %q err %v", f, err)
 	}
-	if f, err := validate(jsonlStream(t)); err != nil || f != "trace stream" {
-		t.Errorf("jsonl: format %q err %v", f, err)
+	if f, err := validate(requestTraceJSON(t)); err != nil || f != "request trace" {
+		t.Errorf("request trace: format %q err %v", f, err)
 	}
 	if _, err := validate([]byte("nonsense\n")); err == nil {
 		t.Error("garbage accepted")
-	} else if !strings.Contains(err.Error(), "snapshot") || !strings.Contains(err.Error(), "trace stream") {
+	} else if !strings.Contains(err.Error(), "snapshot") || !strings.Contains(err.Error(), "request trace") {
 		t.Errorf("error does not mention both formats: %v", err)
 	}
 }
@@ -75,14 +55,14 @@ func TestValidateFormats(t *testing.T) {
 func TestRunMultipleFiles(t *testing.T) {
 	dir := t.TempDir()
 	good1 := write(t, dir, "snap.json", snapshotJSON(t))
-	good2 := write(t, dir, "trace.jsonl", jsonlStream(t))
+	good2 := write(t, dir, "trace.json", requestTraceJSON(t))
 	bad := write(t, dir, "bad.json", []byte("{broken\n"))
 
 	var out, errOut strings.Builder
 	if code := run([]string{good1, good2}, nil, &out, &errOut, false); code != 0 {
 		t.Errorf("all-valid run exited %d: %s", code, errOut.String())
 	}
-	if got := out.String(); !strings.Contains(got, "snapshot ok") || !strings.Contains(got, "trace stream ok") {
+	if got := out.String(); !strings.Contains(got, "snapshot ok") || !strings.Contains(got, "request trace ok") {
 		t.Errorf("missing ok lines:\n%s", got)
 	}
 
@@ -215,18 +195,11 @@ func TestValidateRequestTrace(t *testing.T) {
 		}
 	}
 
-	// Cross-format isolation: the other two formats stay correctly
-	// attributed, and a request trace never passes as either.
+	// Cross-format isolation: neither format passes as the other.
 	if err := telemetry.ValidateJSON(good); err == nil {
 		t.Error("request trace accepted as a snapshot")
 	}
-	if err := telemetry.ValidateJSONLines(good); err == nil {
-		t.Error("request trace accepted as a trace stream")
-	}
 	if err := reqtrace.Validate(snapshotJSON(t)); err == nil {
 		t.Error("snapshot accepted as a request trace")
-	}
-	if err := reqtrace.Validate(jsonlStream(t)); err == nil {
-		t.Error("trace stream accepted as a request trace")
 	}
 }

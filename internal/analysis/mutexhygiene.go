@@ -19,9 +19,9 @@ import (
 // Lock-across-I/O (Policy.MutexScope, i.e. the observability layer):
 // within a scope package, no function calls directly into a
 // Policy.MutexForbidden package (internal/iosim) while a mutex is
-// held. This is the scrape-lock-free promise: /metrics and /traces
-// snapshot atomics under short mutexes and must never sit on a lock
-// waiting for simulated disk I/O.
+// held. This is the scrape-lock-free promise: /metrics and the flight
+// recorder snapshot atomics under short mutexes and must never sit on a
+// lock waiting for simulated disk I/O.
 //
 // Lock-across-join (Policy.MutexJoinScope, i.e. the front ends under
 // cmd/): within a scope package, no function calls a facade

@@ -22,9 +22,9 @@ type Policy struct {
 	MapDeterminism []string
 
 	// WallClockExempt lists the internal packages allowed to read the
-	// wall clock and global rand state. Everything else under
-	// internal/ must stay deterministic so benchreport baselines remain
-	// byte-stable.
+	// wall clock and global rand state (none in the live policy).
+	// Everything else under internal/ must stay deterministic so
+	// benchreport baselines remain byte-stable.
 	WallClockExempt []string
 
 	// NilRecv maps a package to the types whose exported
@@ -146,14 +146,13 @@ func DefaultPolicy() *Policy {
 			"internal/simulate": {
 				"internal/collection", "internal/core", "internal/corpus",
 				"internal/costmodel", "internal/invfile", "internal/iosim",
-				"internal/telemetry",
+				"internal/reqtrace", "internal/telemetry",
 			},
 		},
 		MapDeterminism: []string{
 			"internal/accum", "internal/core", "internal/invfile", "internal/query",
 			"internal/lsh", "internal/metrics", "internal/reqtrace", "internal/slo",
 		},
-		WallClockExempt: []string{"internal/telemetry"},
 		NilRecv: map[string][]string{
 			"internal/telemetry": {"Collector", "Counter", "Histogram", "Snapshot"},
 			"internal/metrics":   {"Exporter"},
@@ -164,7 +163,7 @@ func DefaultPolicy() *Policy {
 		MutexForbidden: []string{"internal/iosim"},
 		MutexJoinScope: []string{"cmd/benchreport", "cmd/textjoin", "cmd/textjoind"},
 		SpanScope:      []string{"internal/core", "cmd/textjoind"},
-		SpanPackages:   []string{"internal/reqtrace", "internal/telemetry"},
+		SpanPackages:   []string{"internal/reqtrace"},
 		Resources: []ResourceRule{
 			// iosim view sessions: a leaked view never merges its IOStats
 			// into the shared ledger, corrupting the Section-5 accounting.

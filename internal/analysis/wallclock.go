@@ -7,8 +7,9 @@ import (
 )
 
 // wallClock forbids wall-clock reads and global-rand state in internal
-// packages outside the exempt list (telemetry, whose whole job is
-// timing). The benchmark observatory's reports are byte-stable only
+// packages outside the policy's exempt list (empty in the live policy:
+// the tracer takes an injected clock and the telemetry collector only
+// records durations its callers measured). The benchmark observatory's reports are byte-stable only
 // because nothing on a measured path consults the real clock or the
 // shared rand source; a stray time.Now would surface as flaky baseline
 // diffs long after the offending PR merged.
@@ -24,7 +25,7 @@ type wallClock struct{ pol *Policy }
 
 func (a *wallClock) Name() string { return "wallclock" }
 func (a *wallClock) Doc() string {
-	return "forbid time.Now/time.Since/time.Until and math/rand global-state calls in internal packages outside telemetry"
+	return "forbid time.Now/time.Since/time.Until and math/rand global-state calls in internal packages outside the policy's exempt list"
 }
 func (a *wallClock) NeedsTypes() bool { return true }
 
@@ -52,7 +53,7 @@ func (a *wallClock) Check(p *Package) []Diagnostic {
 			case "time":
 				if clockFuncs[sel.Sel.Name] {
 					diags = append(diags, p.diag(a.Name(), sel.Pos(),
-						"time.%s in %s: internal packages outside telemetry must not read the wall clock (inject a clock, or justify with //lint:ignore %s <reason>)",
+						"time.%s in %s: internal packages must not read the wall clock (inject a clock, or justify with //lint:ignore %s <reason>)",
 						sel.Sel.Name, p.Rel, a.Name()))
 				}
 			case "math/rand", "math/rand/v2":

@@ -1,59 +1,34 @@
 package core
 
-import (
-	"fmt"
-	"strings"
+import "textjoin/internal/costmodel"
 
-	"textjoin/internal/costmodel"
-	"textjoin/internal/telemetry"
-)
-
-// PlanSamples replays the integrated planner's plan-phase trace events
-// of a telemetry snapshot into cost-model calibration samples. Every
-// JoinIntegrated call leaves "estimate.<alg>.seq" events for all three
-// algorithms followed by one "measured.<alg>.cost" event for the
-// algorithm it ran; each measured event pairs with the latest preceding
-// estimate of the same algorithm to form one estimated-vs-measured
-// sample. Estimates without a later measurement (the algorithms the
-// planner rejected) produce no sample — their cost was never observed.
+// PlanSamples turns one integrated run into cost-model calibration
+// samples: the planner's unfiltered estimate for the algorithm it chose,
+// paired with that run's measured α-priced cost, both rounded to whole
+// page units as the plan span records them. A prefiltered win still
+// pairs with the unfiltered estimate, the paper's model being the one
+// calibrated. The estimates of the algorithms the planner rejected
+// produce no sample — their cost was never observed.
 //
-// Labels are "plan-<n>" in measurement order, unique within one
-// snapshot; callers auditing a whole grid prefix them per cell. Events
-// from a ring that overwrote its estimates (trace_dropped > 0 on a busy
-// collector) simply skip the orphaned measurements.
-func PlanSamples(s *telemetry.Snapshot) []costmodel.Sample {
-	if s == nil {
+// The result holds at most one sample, labelled "plan-0"; callers
+// auditing a whole grid prefix the label per cell. It is nil when st is
+// nil (the run failed) or the decision lacks the chosen estimate.
+func PlanSamples(dec Decision, st *Stats) []costmodel.Sample {
+	if st == nil {
 		return nil
 	}
-	latestEst := make(map[string]float64)
-	var out []costmodel.Sample
-	for _, e := range s.Trace {
-		if e.Kind != telemetry.KindEvent || e.Phase != telemetry.PhasePlan {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(e.Name, "estimate.") && strings.HasSuffix(e.Name, ".seq"):
-			alg := strings.TrimSuffix(strings.TrimPrefix(e.Name, "estimate."), ".seq")
-			latestEst[alg] = float64(e.Value)
-		case strings.HasPrefix(e.Name, "measured.") && strings.HasSuffix(e.Name, ".cost"):
-			alg := strings.TrimSuffix(strings.TrimPrefix(e.Name, "measured."), ".cost")
-			est, ok := latestEst[alg]
-			if !ok {
-				continue
-			}
-			a, err := ParseAlgorithm(alg)
-			if err != nil {
-				continue
-			}
-			out = append(out, costmodel.Sample{
-				Label:     fmt.Sprintf("plan-%d", len(out)),
-				Algorithm: modelAlg(a),
-				Estimated: est,
-				Measured:  float64(e.Value),
-			})
+	want := modelAlg(dec.Chosen)
+	for _, e := range dec.Estimates {
+		if e.Algorithm == want && !e.Prefiltered {
+			return []costmodel.Sample{{
+				Label:     "plan-0",
+				Algorithm: want,
+				Estimated: float64(costUnits(e.Seq)),
+				Measured:  float64(costUnits(st.Cost)),
+			}}
 		}
 	}
-	return out
+	return nil
 }
 
 // modelAlg converts a core algorithm id to its costmodel counterpart.

@@ -1,26 +1,23 @@
 package core
 
 import (
-	"strings"
+	"math"
 	"testing"
 
 	"textjoin/internal/costmodel"
-	"textjoin/internal/telemetry"
 )
 
-// TestPlanSamples drives JoinIntegrated with telemetry attached and
-// checks that replaying the snapshot recovers exactly the planner's
-// estimated-vs-measured pair for the chosen algorithm.
+// TestPlanSamples drives JoinIntegrated and checks that its decision and
+// Stats yield exactly the planner's estimated-vs-measured pair for the
+// chosen algorithm, in whole page units.
 func TestPlanSamples(t *testing.T) {
 	e := buildEnv(t, 18, 30, 25, 60, 15, 256)
-	tel := telemetry.New()
-	opts := Options{Lambda: 5, MemoryPages: 100, Telemetry: tel}
-	_, st, dec, err := JoinIntegrated(e.inputs(), opts)
+	_, st, dec, err := JoinIntegrated(e.inputs(), Options{Lambda: 5, MemoryPages: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	samples := PlanSamples(tel.Snapshot())
+	samples := PlanSamples(dec, st)
 	if len(samples) != 1 {
 		t.Fatalf("got %d samples, want 1: %+v", len(samples), samples)
 	}
@@ -28,12 +25,12 @@ func TestPlanSamples(t *testing.T) {
 	if s.Label != "plan-0" {
 		t.Errorf("label = %q, want plan-0", s.Label)
 	}
-	if s.Algorithm.String() != dec.Chosen.String() {
+	if s.Algorithm != modelAlg(dec.Chosen) {
 		t.Errorf("sample algorithm %v, decision %v", s.Algorithm, dec.Chosen)
 	}
 	var wantEst float64
 	for _, est := range dec.Estimates {
-		if strings.EqualFold(est.Algorithm.String(), dec.Chosen.String()) {
+		if est.Algorithm == s.Algorithm && !est.Prefiltered {
 			wantEst = float64(costUnits(est.Seq))
 		}
 	}
@@ -43,40 +40,38 @@ func TestPlanSamples(t *testing.T) {
 	if want := float64(costUnits(st.Cost)); s.Measured != want {
 		t.Errorf("measured = %g, want %g", s.Measured, want)
 	}
-
-	// A second integrated run on the same collector adds a second sample.
-	if _, _, _, err := JoinIntegrated(e.inputs(), opts); err != nil {
-		t.Fatal(err)
-	}
-	samples = PlanSamples(tel.Snapshot())
-	if len(samples) != 2 || samples[1].Label != "plan-1" {
-		t.Fatalf("after second run: %+v", samples)
-	}
 }
 
 func TestPlanSamplesEdgeCases(t *testing.T) {
-	if got := PlanSamples(nil); got != nil {
-		t.Errorf("nil snapshot: %+v", got)
+	dec := Decision{Chosen: VVM, Estimates: []costmodel.Estimate{
+		{Algorithm: costmodel.AlgHHNL, Seq: 10},
+		{Algorithm: costmodel.AlgVVM, Seq: 39.6, Prefiltered: true},
+		{Algorithm: costmodel.AlgVVM, Seq: 40.4},
+	}}
+
+	// A failed run (nil Stats) measured nothing.
+	if got := PlanSamples(dec, nil); got != nil {
+		t.Errorf("nil stats: %+v", got)
 	}
 
-	// A measurement with no preceding estimate (ring overwrote it) and
-	// events from other phases are both skipped.
-	tel := telemetry.New()
-	tel.Event(telemetry.PhaseScan, "estimate.hvnl.seq", 10) // wrong phase
-	tel.Event(telemetry.PhasePlan, "measured.hvnl.cost", 20)
-	tel.Event(telemetry.PhasePlan, "estimate.bogus.seq", 5) // unknown alg
-	tel.Event(telemetry.PhasePlan, "measured.bogus.cost", 6)
-	if got := PlanSamples(tel.Snapshot()); len(got) != 0 {
-		t.Errorf("orphan/unknown events produced samples: %+v", got)
+	// The unfiltered estimate of the chosen algorithm pairs with the
+	// measurement, even when a prefiltered variant of it was priced
+	// too; both sides round to whole pages.
+	got := PlanSamples(dec, &Stats{Cost: 43.5})
+	if len(got) != 1 || got[0].Algorithm != costmodel.AlgVVM || got[0].Estimated != 40 || got[0].Measured != 44 {
+		t.Fatalf("unfiltered pairing: %+v", got)
 	}
 
-	// The latest estimate wins when the planner re-estimates.
-	tel = telemetry.New()
-	tel.Event(telemetry.PhasePlan, "estimate.vvm.seq", 100)
-	tel.Event(telemetry.PhasePlan, "estimate.vvm.seq", 40)
-	tel.Event(telemetry.PhasePlan, "measured.vvm.cost", 44)
-	got := PlanSamples(tel.Snapshot())
-	if len(got) != 1 || got[0].Estimated != 40 || got[0].Algorithm != costmodel.AlgVVM {
-		t.Fatalf("re-estimate: %+v", got)
+	// An infeasible estimate clamps like the plan span's attribute.
+	dec.Estimates[2].Seq = math.Inf(1)
+	if got := PlanSamples(dec, &Stats{Cost: 1}); len(got) != 1 || got[0].Estimated != float64(math.MaxInt64) {
+		t.Fatalf("infeasible estimate: %+v", got)
+	}
+
+	// A decision that never priced the chosen algorithm unfiltered has
+	// nothing to pair.
+	dec.Estimates = dec.Estimates[:2]
+	if got := PlanSamples(dec, &Stats{Cost: 1}); got != nil {
+		t.Fatalf("missing estimate: %+v", got)
 	}
 }

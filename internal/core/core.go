@@ -129,17 +129,17 @@ type Options struct {
 	// CachePolicy selects HVNL's entry replacement policy. The default
 	// is the paper's MinOuterDF.
 	CachePolicy entrycache.Policy
-	// Telemetry receives per-phase spans, counters and histograms while
-	// the join runs. nil (the default) disables instrumentation with
-	// near-zero overhead; enabling it never changes results or Stats,
-	// which the differential test harness pins.
+	// Telemetry receives counters and histograms while the join runs.
+	// nil (the default) disables instrumentation with near-zero
+	// overhead; enabling it never changes results or Stats, which the
+	// differential test harness pins.
 	Telemetry *telemetry.Collector
 	// Trace is the request-scoped parent span: every phase the join
-	// runs hangs a child span under it, mirroring the aggregate
-	// telemetry phase spans with per-request causality. nil (the
-	// default) disables request tracing with the same zero-allocation
-	// contract as a nil Telemetry collector; tracing never changes
-	// results or Stats.
+	// runs hangs a child span under it, labelled with the reqtrace
+	// phase taxonomy (RecordPhases folds the finished tree into the
+	// phase histograms). nil (the default) disables request tracing
+	// with the same zero-allocation contract as a nil Telemetry
+	// collector; tracing never changes results or Stats.
 	Trace *reqtrace.Span
 	// Prefilter supplies signature sidecars for pruning provably
 	// zero-similarity work from HHNL and HVNL (VVM's merge already
@@ -331,26 +331,25 @@ func recordJoinStats(tel *telemetry.Collector, st *Stats) {
 	}
 }
 
-// phaseSpan pairs the aggregate telemetry span with the per-request
-// trace span, so every instrumented phase reports to both sinks with
-// one call. It is a value type: when both sinks are disabled (nil
-// collector, nil trace) startPhase allocates nothing and End is two
-// nil checks.
-type phaseSpan struct {
-	tel telemetry.Span
-	req *reqtrace.Span
-}
-
-// startPhase opens the phase in both sinks under the same phase label,
-// so the request tree and the aggregate phase histograms line up.
-func startPhase(tel *telemetry.Collector, trace *reqtrace.Span, phase, name string) phaseSpan {
-	return phaseSpan{tel: tel.StartSpan(phase, name), req: trace.StartChild(phase, name)}
-}
-
-// End finishes the phase in both sinks.
-func (p phaseSpan) End() {
-	p.tel.End()
-	p.req.End()
+// RecordPhases folds a finished request trace into the collector's
+// per-phase duration histograms ("phase.<phase>.ns", exported as
+// textjoin_phase_ns{phase}): one observation per span whose phase is in
+// the join taxonomy (reqtrace.PhaseSetup … reqtrace.PhasePlan). The
+// serving layer's spans (the request root, queue, exec, io) are not
+// join phases and are skipped, so the histograms' label set is exactly
+// the taxonomy. It is the only writer of those histograms; callers run
+// it once per finished trace. No-op when tel or d is nil.
+func RecordPhases(tel *telemetry.Collector, d *reqtrace.TraceData) {
+	if tel == nil || d == nil {
+		return
+	}
+	for _, sp := range d.Spans {
+		switch sp.Phase {
+		case reqtrace.PhaseSetup, reqtrace.PhaseScan, reqtrace.PhaseProbe, reqtrace.PhaseScore,
+			reqtrace.PhaseFlush, reqtrace.PhaseMerge, reqtrace.PhaseFinalize, reqtrace.PhasePlan:
+			tel.Histogram("phase."+sp.Phase+".ns", telemetry.DefaultLatencyBuckets).Observe(sp.DurNanos)
+		}
+	}
 }
 
 // alpha returns the cost ratio of the disk backing the first non-nil file.

@@ -13,6 +13,7 @@ import (
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
 	"textjoin/internal/lsh"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 )
 
@@ -246,8 +247,9 @@ func TestDifferentialShapes(t *testing.T) {
 }
 
 // TestTelemetryInvariance pins the tentpole's contract: an attached
-// collector changes neither the results nor a single byte of the Stats,
-// for every variant on every shape. Fresh environments per run keep the
+// collector and request trace change neither the results nor a single
+// byte of the Stats, for every variant on every shape, while the trace
+// records the join's phase spans. Fresh environments per run keep the
 // disk head positions (and so the seq/rand classification) comparable.
 func TestTelemetryInvariance(t *testing.T) {
 	for _, shape := range diffShapes() {
@@ -263,8 +265,10 @@ func TestTelemetryInvariance(t *testing.T) {
 				on := buildDiffEnv(t, shape, 1)
 				tel := telemetry.New()
 				on.disk.SetCollector(tel)
+				root := reqtrace.NewTracer(1, stepClock()).StartTrace("join")
 				opts := shape.options()
 				opts.Telemetry = tel
+				opts.Trace = root
 				onRes, onSt, err := v.run(on.inputs(), opts)
 				if err != nil {
 					t.Fatalf("%s on: %v", v.name, err)
@@ -276,8 +280,11 @@ func TestTelemetryInvariance(t *testing.T) {
 				if *offSt != *onSt {
 					t.Errorf("%s: telemetry changed stats:\noff %+v\non  %+v", v.name, *offSt, *onSt)
 				}
-				if s := tel.Snapshot(); len(s.Counters) == 0 || len(s.Trace) == 0 {
+				if s := tel.Snapshot(); len(s.Counters) == 0 {
 					t.Errorf("%s: enabled collector recorded nothing", v.name)
+				}
+				if len(joinPhaseCounts(root.Data())) == 0 {
+					t.Errorf("%s: request trace holds no phase span", v.name)
 				}
 			}
 		})

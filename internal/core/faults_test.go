@@ -76,8 +76,8 @@ func waitGoroutines(tb testing.TB, want int) {
 
 // The parallel joins must propagate storage faults exactly like their
 // serial counterparts: a clean wrapped error, no partial results, no
-// leaked worker goroutines — and an attached collector must record the
-// storage-level fault event.
+// leaked worker goroutines — and an attached collector must count the
+// storage-level fault.
 func TestParallelJoinsPropagateStorageFaults(t *testing.T) {
 	variants := []struct {
 		name string
@@ -103,14 +103,14 @@ func TestParallelJoinsPropagateStorageFaults(t *testing.T) {
 				if res != nil {
 					t.Error("partial results returned alongside error")
 				}
-				found := false
-				for _, en := range tel.Snapshot().Trace {
-					if en.Kind == telemetry.KindEvent && en.Phase == telemetry.PhaseIO && strings.HasPrefix(en.Name, "fault.") {
-						found = true
+				var faults int64
+				for _, c := range tel.Snapshot().Counters {
+					if strings.HasPrefix(c.Name, "io.file.") && strings.HasSuffix(c.Name, ".faults") {
+						faults += c.Value
 					}
 				}
-				if !found {
-					t.Error("no io fault event in the telemetry trace")
+				if faults == 0 {
+					t.Error("no io.file.<name>.faults counter in the telemetry snapshot")
 				}
 				waitGoroutines(t, before)
 			})

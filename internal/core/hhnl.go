@@ -8,8 +8,8 @@ import (
 	"textjoin/internal/collection"
 	"textjoin/internal/document"
 	"textjoin/internal/iosim"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/signature"
-	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
 )
 
@@ -184,7 +184,7 @@ func joinBatched(in Inputs, opts Options, workers int, budget, slotBytes int64, 
 
 	results := make([]Result, 0, in.Outer.NumDocs())
 	for {
-		span := startPhase(tel, trace, telemetry.PhaseScan, k.fillSpan)
+		span := trace.StartChild(reqtrace.PhaseScan, k.fillSpan)
 		batch, used, err := fill.next()
 		span.End()
 		if err != nil {
@@ -203,7 +203,7 @@ func joinBatched(in Inputs, opts Options, workers int, budget, slotBytes int64, 
 		if k.candidates == nil {
 			scan = in.Inner.Scan()
 		} else {
-			span := startPhase(tel, trace, telemetry.PhaseScan, k.candSpan)
+			span := trace.StartChild(reqtrace.PhaseScan, k.candSpan)
 			keep, err := k.candidates(batch)
 			span.End()
 			if err != nil {
@@ -220,7 +220,7 @@ func joinBatched(in Inputs, opts Options, workers int, budget, slotBytes int64, 
 			}
 		}
 		counts := make([]scanCounts, workers)
-		span = startPhase(tel, trace, telemetry.PhaseScore, k.scanSpan)
+		span = trace.StartChild(reqtrace.PhaseScore, k.scanSpan)
 		if workers == 1 {
 			var d1 *document.Document
 			for d1, err = scan.NextReuse(); err == nil; d1, err = scan.NextReuse() {
@@ -239,7 +239,7 @@ func joinBatched(in Inputs, opts Options, workers int, budget, slotBytes int64, 
 			return nil, nil, err
 		}
 
-		span = startPhase(tel, trace, telemetry.PhaseFlush, k.flushSpan)
+		span = trace.StartChild(reqtrace.PhaseFlush, k.flushSpan)
 		for i, d2 := range batch {
 			tk := sets[0][i]
 			if workers > 1 {
@@ -340,7 +340,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 	var order []uint32
 	fill := batchFiller{docs: in.Inner.Scan(), side: "inner", budget: budget}
 	for {
-		span := startPhase(tel, trace, telemetry.PhaseScan, "hhnl.backward.fill-batch")
+		span := trace.StartChild(reqtrace.PhaseScan, "hhnl.backward.fill-batch")
 		batch, used, err := fill.next()
 		span.End()
 		if err != nil {
@@ -357,7 +357,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 		// The streamed outer side is consumed one document at a time, so
 		// the reuse path applies (the resident inner batch, by contrast,
 		// is built from stable Next documents above).
-		score := startPhase(tel, trace, telemetry.PhaseScore, "hhnl.backward.outer-scan")
+		score := trace.StartChild(reqtrace.PhaseScore, "hhnl.backward.outer-scan")
 		outerIt := in.Outer.Documents()
 		for {
 			d2, err := collection.NextReuse(outerIt)
@@ -402,7 +402,7 @@ func hhnlBackward(in Inputs, opts Options, scorer *document.Scorer) ([]Result, *
 			stats.OuterDocs++
 		}
 	}
-	flush := startPhase(tel, trace, telemetry.PhaseFinalize, "hhnl.backward.finalize")
+	flush := trace.StartChild(reqtrace.PhaseFinalize, "hhnl.backward.finalize")
 	results := make([]Result, 0, len(order))
 	for _, id := range order {
 		results = append(results, Result{Outer: id, Matches: trackers[id].Results()})

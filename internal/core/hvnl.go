@@ -9,6 +9,7 @@ import (
 	"textjoin/internal/document"
 	"textjoin/internal/entrycache"
 	"textjoin/internal/iosim"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
 )
@@ -64,7 +65,7 @@ func JoinHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	tel, trace := opts.Telemetry, opts.Trace
 
 	// One-time load of the B+tree into memory.
-	setup := startPhase(tel, trace, telemetry.PhaseSetup, "hvnl.load-index")
+	setup := trace.StartChild(reqtrace.PhaseSetup, "hvnl.load-index")
 	index, err := in.InnerInv.LoadIndex()
 	setup.End()
 	if err != nil {
@@ -122,7 +123,7 @@ func JoinHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 		seqCost := float64(invStats.I)
 		randCost := float64(neededPages) * invFile.Disk().Alpha()
 		if seqCost < randCost {
-			preload := startPhase(tel, trace, telemetry.PhaseScan, "hvnl.preload")
+			preload := trace.StartChild(reqtrace.PhaseScan, "hvnl.preload")
 			sc := in.InnerInv.Scan()
 			for {
 				entry, err := sc.Next()
@@ -150,7 +151,7 @@ func JoinHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 	// sidecar) their pages are never read.
 	var opf *outerPrefilter
 	if pf != nil {
-		filter := startPhase(tel, trace, telemetry.PhaseSetup, "hvnl.prefilter")
+		filter := trace.StartChild(reqtrace.PhaseSetup, "hvnl.prefilter")
 		opf, err = newOuterPrefilter(in, pf, stats)
 		filter.End()
 		if err != nil {
@@ -160,7 +161,7 @@ func JoinHVNL(in Inputs, opts Options) ([]Result, *Stats, error) {
 
 	// Each outer document is fully processed before the next is read, so
 	// the reuse path applies: one arena document for the whole sweep.
-	probe := startPhase(tel, trace, telemetry.PhaseProbe, "hvnl.outer-sweep")
+	probe := trace.StartChild(reqtrace.PhaseProbe, "hvnl.outer-sweep")
 	var outer collection.DocIterator
 	if opf == nil {
 		outer = in.Outer.Documents()

@@ -160,8 +160,9 @@ func Choose(in Inputs, opts Options) (Decision, error) {
 	return dec, nil
 }
 
-// costUnits rounds a model cost to whole page units for a telemetry
-// event, clamping infeasible (+Inf) estimates to the largest value.
+// costUnits rounds a model cost to whole page units for a plan-span
+// attribute or a calibration sample, clamping infeasible (+Inf)
+// estimates to the largest value.
 func costUnits(c float64) int64 {
 	if math.IsInf(c, 1) || c >= math.MaxInt64 {
 		return math.MaxInt64
@@ -169,31 +170,37 @@ func costUnits(c float64) int64 {
 	return int64(c + 0.5)
 }
 
-// recordPlan publishes the planner's estimates and choice as "plan" phase
-// events, so a snapshot shows estimated vs measured cost side by side.
-func recordPlan(tel *telemetry.Collector, dec Decision) {
-	if tel == nil {
+// recordPlan counts the planner's choice and stamps the decision on the
+// plan span: the chosen plan with its estimated cost and recall, and
+// every candidate's sequential and random estimate in page units
+// ("estimate.<alg>.seq|rand", prefilter variants as
+// "estimate.<alg>.prefilter.seq|rand"), so a trace shows what the
+// planner rejected next to what it ran.
+func recordPlan(tel *telemetry.Collector, span *reqtrace.Span, dec Decision) {
+	if tel != nil {
+		tel.Counter("plan.chosen." + strings.ToLower(dec.Chosen.String())).Add(1)
+		if dec.Prefiltered {
+			tel.Counter("plan.prefilter.on").Add(1)
+		}
+	}
+	if span == nil {
 		return
 	}
+	span.SetAttr("plan.chosen", dec.Chosen.String())
+	if est := chosenEstimate(dec); !math.IsNaN(est) {
+		span.SetFloat("plan.estimated_cost", est)
+	}
+	span.SetFloat("plan.estimated_recall", dec.EstimatedRecall)
+	if dec.Prefiltered {
+		span.SetAttr("plan.prefiltered", "true")
+	}
 	for _, e := range dec.Estimates {
-		name := strings.ToLower(e.Algorithm.String())
+		name := "estimate." + strings.ToLower(e.Algorithm.String())
 		if e.Prefiltered {
-			// Four-part names are ignored by costmodel.PlanSamples, so
-			// calibration keeps pairing only the unfiltered estimates.
 			name += ".prefilter"
 		}
-		tel.Event(telemetry.PhasePlan, "estimate."+name+".seq", costUnits(e.Seq))
-		tel.Event(telemetry.PhasePlan, "estimate."+name+".rand", costUnits(e.Rand))
-	}
-	tel.Counter("plan.chosen." + strings.ToLower(dec.Chosen.String())).Add(1)
-	if dec.Prefiltered {
-		tel.Counter("plan.prefilter.on").Add(1)
-	}
-	if dec.Chosen == LSH {
-		// Milli-recall as an event value (events carry int64); the name
-		// has no "estimate."/"measured." prefix, so calibration replay
-		// ignores it.
-		tel.Event(telemetry.PhasePlan, "plan.lsh.recall_milli", int64(dec.EstimatedRecall*1000+0.5))
+		span.SetInt(name+".seq", costUnits(e.Seq))
+		span.SetInt(name+".rand", costUnits(e.Rand))
 	}
 }
 
@@ -201,17 +208,7 @@ func recordPlan(tel *telemetry.Collector, dec Decision) {
 // picked (matching algorithm and prefilter flag), or NaN when the
 // estimate list lacks it.
 func chosenEstimate(dec Decision) float64 {
-	var want costmodel.Algorithm
-	switch dec.Chosen {
-	case HHNL:
-		want = costmodel.AlgHHNL
-	case HVNL:
-		want = costmodel.AlgHVNL
-	case VVM:
-		want = costmodel.AlgVVM
-	case LSH:
-		want = costmodel.AlgLSH
-	}
+	want := modelAlg(dec.Chosen)
 	for _, e := range dec.Estimates {
 		if e.Algorithm == want && e.Prefiltered == dec.Prefiltered {
 			return e.Seq
@@ -252,22 +249,14 @@ func recordPlanAudit(tel *telemetry.Collector, trace *reqtrace.Span, dec Decisio
 // estimated cost.
 func JoinIntegrated(in Inputs, opts Options) ([]Result, *Stats, Decision, error) {
 	tel, trace := opts.Telemetry, opts.Trace
-	span := startPhase(tel, trace, telemetry.PhasePlan, "integrated.choose")
+	span := trace.StartChild(reqtrace.PhasePlan, "integrated.choose")
 	dec, err := Choose(in, opts)
 	if err != nil {
 		span.End()
 		return nil, nil, dec, err
 	}
-	span.req.SetAttr("plan.chosen", dec.Chosen.String())
-	if est := chosenEstimate(dec); !math.IsNaN(est) {
-		span.req.SetFloat("plan.estimated_cost", est)
-	}
-	span.req.SetFloat("plan.estimated_recall", dec.EstimatedRecall)
-	if dec.Prefiltered {
-		span.req.SetAttr("plan.prefiltered", "true")
-	}
+	recordPlan(tel, span, dec)
 	span.End()
-	recordPlan(tel, dec)
 	if !dec.Prefiltered {
 		// The unfiltered plan won on estimated cost; run it without the
 		// filter so the measured cost matches the estimate.
@@ -275,11 +264,6 @@ func JoinIntegrated(in Inputs, opts Options) ([]Result, *Stats, Decision, error)
 	}
 	results, stats, err := Join(dec.Chosen, in, opts)
 	if err == nil {
-		if tel != nil {
-			// Measured counterpart of the estimates above: the chosen
-			// algorithm's actual α-priced cost, in the same page units.
-			tel.Event(telemetry.PhasePlan, "measured."+strings.ToLower(dec.Chosen.String())+".cost", costUnits(stats.Cost))
-		}
 		recordPlanAudit(tel, trace, dec, stats.Cost)
 	}
 	return results, stats, dec, err

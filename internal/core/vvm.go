@@ -12,6 +12,7 @@ import (
 	"textjoin/internal/document"
 	"textjoin/internal/invfile"
 	"textjoin/internal/iosim"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 	"textjoin/internal/topk"
 )
@@ -108,7 +109,7 @@ func joinVVM(in Inputs, opts Options, workers int) ([]Result, *Stats, error) {
 			tel.Counter("join.vvm.accum." + pass.shards[0].acc.Kind()).Add(1)
 		}
 
-		merge := startPhase(tel, trace, telemetry.PhaseMerge, "vvm.merge-scan")
+		merge := trace.StartChild(reqtrace.PhaseMerge, "vvm.merge-scan")
 		if workers == 1 {
 			// Accumulate inline: the scanners' reuse arenas suffice,
 			// since each entry pair is consumed before the next is read.
@@ -120,7 +121,7 @@ func joinVVM(in Inputs, opts Options, workers int) ([]Result, *Stats, error) {
 			})
 			merge.End()
 			if err == nil {
-				finalize := startPhase(tel, trace, telemetry.PhaseFinalize, "vvm.emit-range")
+				finalize := trace.StartChild(reqtrace.PhaseFinalize, "vvm.emit-range")
 				pass.emit(sh, opts.Lambda, scorer)
 				finalize.End()
 			}

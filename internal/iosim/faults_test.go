@@ -3,6 +3,8 @@ package iosim
 import (
 	"errors"
 	"testing"
+
+	"textjoin/internal/telemetry"
 )
 
 func faultDisk(t *testing.T) (*Disk, *File, *File) {
@@ -89,5 +91,23 @@ func TestFaultThroughReadAt(t *testing.T) {
 	d.InjectFaults(FaultPlan{FailAfterReads: 1})
 	if _, err := a.ReadAt(0, 32); !errors.Is(err, ErrInjected) {
 		t.Fatalf("ReadAt err = %v, want ErrInjected", err)
+	}
+}
+
+// TestFaultCounted: an attached collector counts each injected fault
+// against the file it hit, and only that file.
+func TestFaultCounted(t *testing.T) {
+	d, a, b := faultDisk(t)
+	tel := telemetry.New()
+	d.SetCollector(tel)
+	d.InjectFaults(FaultPlan{FailAfterReads: 0, FailFile: "b", Repeat: true})
+	a.ReadPage(0)
+	b.ReadPage(0)
+	b.ReadPage(0)
+	if got := tel.Counter("io.file.b.faults").Value(); got != 2 {
+		t.Errorf("io.file.b.faults = %d, want 2", got)
+	}
+	if got := tel.Counter("io.file.a.faults").Value(); got != 0 {
+		t.Errorf("io.file.a.faults = %d, want 0", got)
 	}
 }

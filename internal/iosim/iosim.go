@@ -111,7 +111,7 @@ type Disk struct {
 	faults     *faultState
 
 	// tel, when set, receives per-file read/write counters, record-fetch
-	// size and latency histograms, and fault events. nil disables all
+	// size and latency histograms, and fault counters. nil disables all
 	// instrumentation (the default): the per-read cost is one nil check.
 	tel          *telemetry.Collector
 	telReadPages *telemetry.Histogram
@@ -185,8 +185,8 @@ func (d *Disk) SetAlpha(alpha float64) {
 // SetCollector attaches a telemetry collector to the disk: every file
 // (present and future) gets per-file sequential/random read and write
 // counters ("io.file.<name>.seq" etc.), record fetches feed size and
-// latency histograms, and injected faults record "io" events. Passing
-// nil detaches instrumentation.
+// latency histograms, and injected faults are counted per file
+// ("io.file.<name>.faults"). Passing nil detaches instrumentation.
 func (d *Disk) SetCollector(c *telemetry.Collector) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

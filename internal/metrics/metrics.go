@@ -75,8 +75,9 @@ type family struct {
 // name plus labels. The rules mirror the namespaces the instrumented
 // layers use (DESIGN.md §10 documents the scheme):
 //
-//	io.file.<file>.seq|rand|writes → textjoin_iosim_file_{seq,rand}_reads_total /
-//	                                 textjoin_iosim_file_writes_total  {file}
+//	io.file.<file>.seq|rand|writes|faults
+//	                               → textjoin_iosim_file_{seq,rand}_reads_total /
+//	                                 textjoin_iosim_file_{writes,faults}_total {file}
 //	cache.<policy>.<event>         → textjoin_entrycache_<event>_total {policy}
 //	join.<alg>.worker.<n>.<stat>   → textjoin_join_<alg>_worker_<stat>_total {worker}
 //	join.<alg>.accum.<kind>        → textjoin_join_<alg>_accum_total   {kind}
@@ -97,8 +98,8 @@ func mapCounter(name string) (string, []labelPair) {
 			case "seq", "rand":
 				return Namespace + "_iosim_file_" + kind + "_reads_total",
 					[]labelPair{{"file", file}}
-			case "writes":
-				return Namespace + "_iosim_file_writes_total",
+			case "writes", "faults":
+				return Namespace + "_iosim_file_" + kind + "_total",
 					[]labelPair{{"file", file}}
 			}
 		}
@@ -188,6 +189,8 @@ func helpFor(name string) string {
 		return "Random page reads per simulated file."
 	case strings.HasPrefix(name, Namespace+"_iosim_file_writes"):
 		return "Page writes per simulated file."
+	case strings.HasPrefix(name, Namespace+"_iosim_file_faults"):
+		return "Injected read faults per simulated file."
 	case name == Namespace+"_iosim_readat_pages":
 		return "Pages spanned per record fetch."
 	case name == Namespace+"_iosim_readat_ns":
@@ -216,10 +219,6 @@ func helpFor(name string) string {
 		return "Join execution counter (see DESIGN.md §10 naming scheme)."
 	case strings.HasPrefix(name, Namespace+"_query_"):
 		return "Extended-SQL query layer counter."
-	case name == Namespace+"_trace_entries":
-		return "Trace ring entries surviving in the snapshot."
-	case name == Namespace+"_trace_dropped_total":
-		return "Trace ring entries overwritten before export."
 	case name == Namespace+"_scrapes_total":
 		return "Metrics scrapes served by this exporter."
 	}
@@ -294,8 +293,6 @@ func (fs *familySet) addSnapshot(s *telemetry.Snapshot) {
 		f := fs.get(name, "histogram")
 		f.hist = append(f.hist, histSeries{labels: labels, buckets: h.Buckets, sum: h.Sum, count: h.Count})
 	}
-	fs.addInt(Namespace+"_trace_entries", "gauge", nil, int64(len(s.Trace)))
-	fs.addInt(Namespace+"_trace_dropped_total", "counter", nil, int64(s.TraceDropped))
 }
 
 // addRates folds per-second rate gauges derived from a counter-delta

@@ -109,8 +109,8 @@ type Options struct {
 	// The ResultSet carries the plan (Algorithm, Estimates, Plan) and no
 	// rows.
 	ExplainOnly bool
-	// Telemetry, when non-nil, collects per-phase spans and counters
-	// from the join the query executes.
+	// Telemetry, when non-nil, collects counters and histograms from
+	// the join the query executes.
 	Telemetry *telemetry.Collector
 }
 

@@ -9,8 +9,8 @@ import (
 
 // SchemaVersion identifies the per-request trace JSON shape. The field
 // name ("reqtrace_schema") is unique to this format, so cmd/tracecheck
-// can auto-detect a request trace next to telemetry snapshots and JSONL
-// streams without guessing.
+// can auto-detect a request trace next to telemetry snapshots without
+// guessing.
 const SchemaVersion = 1
 
 // TraceData is the wire form of one finished request trace: exactly
@@ -39,7 +39,8 @@ type SpanData struct {
 	ID string `json:"id"`
 	// Parent is the parent span's ID; empty on the root.
 	Parent string `json:"parent,omitempty"`
-	// Phase is the telemetry phase label the span ran under.
+	// Phase is the label the span ran under: a Phase* constant for join
+	// work, or a serving phase (request, queue, exec, io).
 	Phase string `json:"phase"`
 	// Name identifies the operation, e.g. "hvnl.probe".
 	Name string `json:"name"`

@@ -69,11 +69,11 @@ func TestValidateNegativeCases(t *testing.T) {
 }
 
 func TestValidateRejectsForeignDocuments(t *testing.T) {
-	// A telemetry snapshot and a JSONL entry are both JSON but neither
-	// is a request trace: DisallowUnknownFields must reject them so the
-	// tracecheck auto-detection stays unambiguous.
+	// A telemetry snapshot and a span-shaped entry are both JSON but
+	// neither is a request trace: DisallowUnknownFields must reject them
+	// so the tracecheck auto-detection stays unambiguous.
 	foreign := [][]byte{
-		[]byte(`{"counters":[],"histograms":[],"trace":[],"trace_dropped":0}`),
+		[]byte(`{"counters":[],"histograms":[]}`),
 		[]byte(`{"seq":0,"kind":"span","phase":"scan","name":"x","start_ns":0}`),
 		[]byte(`not json`),
 		[]byte(`[]`),

@@ -3,14 +3,16 @@
 // with string attributes, identified by 128-bit trace IDs and 64-bit
 // span IDs.
 //
-// Where internal/telemetry aggregates (counters, histograms, a global
-// ring of phase spans with no request identity), reqtrace preserves
-// causality: every span knows its parent, every trace is one request,
-// and the finished tree records where that request's milliseconds went
-// — queue wait, plan decision, join phases, per-view I/O — next to the
-// planner's estimates, so the paper's estimated-vs-measured comparison
-// (Section 5) exists per request on the live server, not only in
-// offline calibration runs.
+// It is the repo's only span model. Where internal/telemetry aggregates
+// (counters and histograms with no request identity), reqtrace
+// preserves causality: every span knows its parent, every trace is one
+// request, and the finished tree records where that request's
+// milliseconds went — queue wait, plan decision, join phases, per-view
+// I/O — next to the planner's estimate for every candidate, so the
+// paper's estimated-vs-measured comparison (Section 5) exists per
+// request on the live server, not only in offline calibration runs.
+// The aggregate per-phase duration histograms are derived from finished
+// trees, not recorded separately.
 //
 // Two rules shape the implementation:
 //
@@ -18,9 +20,8 @@
 //     splitmix64 sequence, never from a global RNG, and every timestamp
 //     is read through the injected clock a Tracer is constructed with.
 //     The package itself never calls time.Now, so it stays inside the
-//     repo's wall-clock hygiene rule rather than joining telemetry on
-//     the exemption list; a fixed seed plus a fake clock reproduces a
-//     trace byte for byte.
+//     repo's wall-clock hygiene rule; a fixed seed plus a fake clock
+//     reproduces a trace byte for byte.
 //
 //   - The nil disabled path. Like a nil *telemetry.Collector, a nil
 //     *Tracer, *Span or *Recorder is the disabled tracer: every method
@@ -36,6 +37,31 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+)
+
+// Phase labels of the join taxonomy. Every algorithm labels its spans
+// from this shared set so trees from different joins line up:
+//
+//	setup    — one-time structure loading (B+tree, index preload decision)
+//	scan     — sequential sweeps of stored structures
+//	probe    — per-outer-document index probing (HVNL)
+//	score    — similarity computation over resident documents (HHNL)
+//	flush    — per-document/per-pass accumulator drain into top-λ
+//	merge    — merge-scan of inverted files (VVM)
+//	finalize — result emission
+//	plan     — the integrated planner's decision and its estimates
+//
+// The serving layer adds its own phases around them ("request" for the
+// root, "queue", "exec", "io"); those are not join phases.
+const (
+	PhaseSetup    = "setup"
+	PhaseScan     = "scan"
+	PhaseProbe    = "probe"
+	PhaseScore    = "score"
+	PhaseFlush    = "flush"
+	PhaseMerge    = "merge"
+	PhaseFinalize = "finalize"
+	PhasePlan     = "plan"
 )
 
 // TraceID is a 128-bit trace identifier, rendered as 32 lowercase hex
@@ -233,10 +259,9 @@ func (s *Span) SpanID() SpanID {
 	return s.id
 }
 
-// StartChild begins a child span in the given phase. Phase labels reuse
-// the telemetry taxonomy (telemetry.PhaseScan etc.) so traces and the
-// aggregate phase histograms line up. On a nil span no clock is read
-// and nil is returned.
+// StartChild begins a child span in the given phase (one of the Phase*
+// labels for join work). On a nil span no clock is read and nil is
+// returned.
 func (s *Span) StartChild(phase, name string) *Span {
 	if s == nil {
 		return nil

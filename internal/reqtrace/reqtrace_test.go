@@ -10,7 +10,7 @@ import (
 )
 
 // fakeClock is a deterministic clock advancing a fixed step per read,
-// the same idiom telemetry tests use under the wallclock lint.
+// so tests stay byte-stable under the wallclock lint.
 func fakeClock(step time.Duration) func() time.Time {
 	base := time.Unix(1700000000, 0)
 	n := 0

@@ -32,6 +32,7 @@ import (
 	"textjoin/internal/costmodel"
 	"textjoin/internal/invfile"
 	"textjoin/internal/iosim"
+	"textjoin/internal/reqtrace"
 	"textjoin/internal/telemetry"
 )
 
@@ -509,14 +510,15 @@ func (m *MeasuredResult) Format() string {
 // measured cost should fall between the model's sequential and random
 // variants and preserve the ranking.
 func Measured(p1, p2 corpus.Profile, scale int64, memoryPages int64, seed int64) (*MeasuredResult, error) {
-	return MeasuredTelemetry(p1, p2, scale, memoryPages, seed, nil)
+	return MeasuredTelemetry(p1, p2, scale, memoryPages, seed, nil, nil)
 }
 
 // MeasuredTelemetry is Measured with an optional telemetry collector
-// attached to the simulated disk and every join: estimated model costs
-// are recorded as "plan" events next to each algorithm's measured cost,
-// so one snapshot carries the estimated-vs-measured comparison.
-func MeasuredTelemetry(p1, p2 corpus.Profile, scale int64, memoryPages int64, seed int64, tel *telemetry.Collector) (*MeasuredResult, error) {
+// attached to the simulated disk and every join, and an optional parent
+// span under which every join hangs its phase spans. The model costs
+// next to each measured cost are in the result itself (Format prints
+// both).
+func MeasuredTelemetry(p1, p2 corpus.Profile, scale int64, memoryPages int64, seed int64, tel *telemetry.Collector, trace *reqtrace.Span) (*MeasuredResult, error) {
 	d := iosim.NewDisk(iosim.WithPageSize(4096), iosim.WithAlpha(5))
 	c1, err := corpus.GenerateOn(d, "c1", p1.Scaled(scale), seed)
 	if err != nil {
@@ -538,7 +540,7 @@ func MeasuredTelemetry(p1, p2 corpus.Profile, scale int64, memoryPages int64, se
 	d.SetCollector(tel)
 
 	in := core.Inputs{Outer: c2, Inner: c1, InnerInv: inv1, OuterInv: inv2}
-	opts := core.Options{Lambda: 20, MemoryPages: memoryPages, Telemetry: tel}
+	opts := core.Options{Lambda: 20, MemoryPages: memoryPages, Telemetry: tel, Trace: trace}
 	mi, err := core.ModelInput(in)
 	if err != nil {
 		return nil, err
@@ -560,12 +562,6 @@ func MeasuredTelemetry(p1, p2 corpus.Profile, scale int64, memoryPages int64, se
 		_, st, err := core.Join(mf.alg, in, opts)
 		if err != nil {
 			return nil, fmt.Errorf("measured %v: %w", mf.alg, err)
-		}
-		if tel != nil {
-			name := strings.ToLower(mf.alg.String())
-			tel.Event(telemetry.PhasePlan, "estimate."+name+".seq", int64(mf.seq(mi, sys, q)+0.5))
-			tel.Event(telemetry.PhasePlan, "estimate."+name+".rand", int64(mf.rand(mi, sys, q)+0.5))
-			tel.Event(telemetry.PhasePlan, "measured."+name+".cost", int64(st.Cost+0.5))
 		}
 		res.Rows = append(res.Rows, MeasuredRow{
 			Alg:          mf.alg.String(),

@@ -64,7 +64,7 @@ func TestObjectiveValidation(t *testing.T) {
 
 func TestAvailabilityWindow(t *testing.T) {
 	ck := newClock()
-	col := telemetry.New(telemetry.WithClock(ck.now))
+	col := telemetry.New()
 	e := mustEngine(t, col, ck, time.Minute, availObjective())
 
 	// No traffic: perfect compliance, full budget.
@@ -107,7 +107,7 @@ func TestAvailabilityWindow(t *testing.T) {
 
 func TestLatencyObjective(t *testing.T) {
 	ck := newClock()
-	col := telemetry.New(telemetry.WithClock(ck.now))
+	col := telemetry.New()
 	e := mustEngine(t, col, ck, time.Minute, latencyObjective())
 
 	h := col.Histogram("http.request.join.ns", telemetry.DefaultLatencyBuckets)
@@ -131,7 +131,7 @@ func TestLatencyObjective(t *testing.T) {
 
 func TestEngineMeasuresFromCreation(t *testing.T) {
 	ck := newClock()
-	col := telemetry.New(telemetry.WithClock(ck.now))
+	col := telemetry.New()
 	// Pre-existing failures before the engine attaches must not count.
 	col.Counter("http.join.err").Add(1000)
 	e := mustEngine(t, col, ck, time.Minute, availObjective())
@@ -145,7 +145,7 @@ func TestEngineMeasuresFromCreation(t *testing.T) {
 
 func TestGaugesRenderAndLint(t *testing.T) {
 	ck := newClock()
-	col := telemetry.New(telemetry.WithClock(ck.now))
+	col := telemetry.New()
 	e := mustEngine(t, col, ck, time.Minute, availObjective(), latencyObjective())
 	col.Counter("http.join.ok").Add(5)
 	ck.advance(time.Second)

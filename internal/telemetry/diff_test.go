@@ -3,17 +3,7 @@ package telemetry
 import (
 	"strings"
 	"testing"
-	"time"
 )
-
-// fixedClock returns a clock that advances step per call.
-func fixedClock(step time.Duration) func() time.Time {
-	t := time.Unix(0, 0)
-	return func() time.Time {
-		t = t.Add(step)
-		return t
-	}
-}
 
 func TestDiffCounters(t *testing.T) {
 	c := New()
@@ -92,58 +82,15 @@ func TestDiffHistograms(t *testing.T) {
 	}
 }
 
-func TestDiffTrace(t *testing.T) {
-	c := New(WithClock(fixedClock(time.Millisecond)))
-	c.Event(PhaseIO, "e0", 0)
-	c.Event(PhaseIO, "e1", 1)
-	prev := c.Snapshot()
-
-	c.Event(PhaseIO, "e2", 2)
-	c.Event(PhaseIO, "e3", 3)
-	cur := c.Snapshot()
-
-	d := cur.Diff(prev)
-	if len(d.Trace) != 2 {
-		t.Fatalf("got %d new entries, want 2", len(d.Trace))
-	}
-	for i, e := range d.Trace {
-		if want := "e" + string(rune('2'+i)); e.Name != want {
-			t.Errorf("entry %d: got %s, want %s", i, e.Name, want)
-		}
-	}
-
-	// A restarted collector (lower max seq) contributes its whole trace.
-	fresh := New(WithClock(fixedClock(time.Millisecond)))
-	fresh.Event(PhaseIO, "n0", 0)
-	d2 := fresh.Snapshot().Diff(cur)
-	if len(d2.Trace) != 1 || d2.Trace[0].Name != "n0" {
-		t.Fatalf("restart trace diff: got %+v, want the full fresh trace", d2.Trace)
-	}
-}
-
-func TestDiffTraceDropped(t *testing.T) {
-	c := New(WithTraceCap(2), WithClock(fixedClock(time.Millisecond)))
-	c.Event(PhaseIO, "a", 0)
-	c.Event(PhaseIO, "b", 0)
-	c.Event(PhaseIO, "c", 0)
-	prev := c.Snapshot() // dropped=1
-	c.Event(PhaseIO, "d", 0)
-	cur := c.Snapshot() // dropped=2
-	if d := cur.Diff(prev); d.TraceDropped != 1 {
-		t.Fatalf("dropped delta: got %d, want 1", d.TraceDropped)
-	}
-}
-
 // TestDiffIsValidSnapshot pins that a Diff round-trips through the JSON
 // sink and its validator: rate computation and export share one schema.
 func TestDiffIsValidSnapshot(t *testing.T) {
-	c := New(WithClock(fixedClock(time.Millisecond)))
+	c := New()
 	c.Counter("x").Add(1)
 	c.Histogram("h", DefaultSizeBuckets).Observe(3)
 	prev := c.Snapshot()
 	c.Counter("x").Add(2)
 	c.Histogram("h", DefaultSizeBuckets).Observe(9)
-	c.StartSpan(PhaseScan, "s").End()
 	d := c.Snapshot().Diff(prev)
 
 	var sb strings.Builder
@@ -157,7 +104,7 @@ func TestDiffIsValidSnapshot(t *testing.T) {
 
 func TestDiffNil(t *testing.T) {
 	var s *Snapshot
-	if d := s.Diff(nil); len(d.Counters) != 0 || len(d.Trace) != 0 {
+	if d := s.Diff(nil); len(d.Counters) != 0 || len(d.Histograms) != 0 {
 		t.Fatalf("nil diff not empty: %+v", d)
 	}
 	c := New()

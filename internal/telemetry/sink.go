@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 )
 
 // Sink renders a Snapshot. The two stock sinks cover the command-line
@@ -28,8 +27,8 @@ func SinkFor(mode string) (Sink, error) {
 }
 
 // TextSink renders the snapshot as line-oriented text: one `counter`
-// line per counter, a `histogram` header plus indented `le` lines per
-// histogram, and one `trace` line per surviving ring entry.
+// line per counter and a `histogram` header plus indented `le` lines per
+// histogram.
 type TextSink struct{}
 
 // Export writes the text rendering.
@@ -46,17 +45,6 @@ func (TextSink) Export(w io.Writer, s *Snapshot) error {
 				continue
 			}
 			bw.printf("  le %s: %d\n", formatLe(b.Le), b.Count)
-		}
-	}
-	bw.printf("trace entries=%d dropped=%d\n", len(s.Trace), s.TraceDropped)
-	for _, e := range s.Trace {
-		switch e.Kind {
-		case KindSpan:
-			bw.printf("  %d span %s %s start=%s dur=%s\n",
-				e.Seq, e.Phase, e.Name, time.Duration(e.StartNanos), time.Duration(e.DurNanos))
-		default:
-			bw.printf("  %d event %s %s value=%d start=%s\n",
-				e.Seq, e.Phase, e.Name, e.Value, time.Duration(e.StartNanos))
 		}
 	}
 	return bw.err
@@ -94,8 +82,8 @@ func (JSONSink) Export(w io.Writer, s *Snapshot) error {
 
 // ValidateJSON checks data against the JSONSink exporter schema: a
 // single Snapshot document with no unknown fields, non-empty names,
-// ascending histogram bounds whose bucket counts sum to the histogram
-// count, and strictly ascending trace sequence numbers of known kinds.
+// and ascending histogram bounds whose bucket counts sum to the
+// histogram count.
 func ValidateJSON(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -137,52 +125,5 @@ func ValidateJSON(data []byte) error {
 			return fmt.Errorf("telemetry: histogram %s bucket counts sum to %d, count is %d", h.Name, sum, h.Count)
 		}
 	}
-	return ValidateEntries(s.Trace)
-}
-
-// ValidateEntries checks a sequence of trace entries against the
-// exporter schema: strictly ascending sequence numbers, known kinds, and
-// non-empty phase and name. It is the shared rule set behind the trace
-// section of ValidateJSON and the JSONL streams of ValidateJSONLines.
-func ValidateEntries(entries []Entry) error {
-	var prevSeq uint64
-	for i, e := range entries {
-		if i > 0 && e.Seq <= prevSeq {
-			return fmt.Errorf("telemetry: trace seq not ascending at %d", i)
-		}
-		prevSeq = e.Seq
-		if e.Kind != KindSpan && e.Kind != KindEvent {
-			return fmt.Errorf("telemetry: trace entry %d has unknown kind %q", e.Seq, e.Kind)
-		}
-		if e.Phase == "" || e.Name == "" {
-			return fmt.Errorf("telemetry: trace entry %d lacks phase or name", e.Seq)
-		}
-	}
 	return nil
-}
-
-// ValidateJSONLines checks data against the streamed-trace schema: one
-// JSON trace entry per non-empty line (the /traces endpoint's JSONL
-// format), no unknown fields, obeying the same entry rules as a
-// snapshot's trace section. An empty stream is valid: a quiet ring has
-// nothing to say.
-func ValidateJSONLines(data []byte) error {
-	var entries []Entry
-	for lineNo, line := range bytes.Split(data, []byte("\n")) {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		var e Entry
-		if err := dec.Decode(&e); err != nil {
-			return fmt.Errorf("telemetry: line %d: invalid trace entry: %w", lineNo+1, err)
-		}
-		if dec.More() {
-			return fmt.Errorf("telemetry: line %d: trailing data after trace entry", lineNo+1)
-		}
-		entries = append(entries, e)
-	}
-	return ValidateEntries(entries)
 }

@@ -7,15 +7,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenCollector builds a fully deterministic collector: fake clock,
-// fixed counters, a histogram with an overflow hit, one span, two events.
+// goldenCollector builds a fully deterministic collector: fixed
+// counters, a histogram with an overflow hit, and one phase duration.
 func goldenCollector() *Collector {
-	c := New(WithTraceCap(16), WithClock(fakeClock(time.Millisecond)))
+	c := New()
 	c.Counter("io.file.c1.inv.seq").Add(12)
 	c.Counter("cache.lru.hits").Add(7)
 	c.Counter("cache.lru.misses").Add(3)
@@ -23,10 +22,7 @@ func goldenCollector() *Collector {
 	for _, v := range []int64{1, 2, 4, 9, 100} {
 		h.Observe(v)
 	}
-	sp := c.StartSpan(PhaseScan, "hvnl.preload")
-	c.Event(PhasePlan, "estimate.hvnl.seq", 4200)
-	sp.End()
-	c.Event(PhaseIO, "fault.c1.bt", 5)
+	c.Histogram("phase.scan.ns", DefaultLatencyBuckets).Observe(2000000)
 	return c
 }
 
@@ -83,17 +79,15 @@ func TestValidateJSONRejects(t *testing.T) {
 		want string
 	}{
 		{"not-json", `{`, "invalid snapshot"},
-		{"unknown-field", `{"counters":[],"histograms":[],"trace":[],"trace_dropped":0,"bogus":1}`, "invalid snapshot"},
-		{"trailing-data", `{"counters":[],"histograms":[],"trace":[],"trace_dropped":0} {}`, "trailing data"},
-		{"empty-counter-name", `{"counters":[{"name":"","value":1}],"histograms":[],"trace":[],"trace_dropped":0}`, "empty name"},
-		{"histogram-no-buckets", `{"counters":[],"histograms":[{"name":"h","count":0,"sum":0,"buckets":[]}],"trace":[],"trace_dropped":0}`, "no buckets"},
-		{"bounds-not-ascending", `{"counters":[],"histograms":[{"name":"h","count":2,"sum":0,"buckets":[{"le":10,"count":1},{"le":5,"count":0},{"le":9223372036854775807,"count":1}]}],"trace":[],"trace_dropped":0}`, "not ascending"},
-		{"negative-bucket", `{"counters":[],"histograms":[{"name":"h","count":0,"sum":0,"buckets":[{"le":10,"count":-1},{"le":9223372036854775807,"count":1}]}],"trace":[],"trace_dropped":0}`, "negative count"},
-		{"missing-overflow", `{"counters":[],"histograms":[{"name":"h","count":1,"sum":0,"buckets":[{"le":10,"count":1}]}],"trace":[],"trace_dropped":0}`, "overflow bucket"},
-		{"count-mismatch", `{"counters":[],"histograms":[{"name":"h","count":5,"sum":0,"buckets":[{"le":10,"count":1},{"le":9223372036854775807,"count":1}]}],"trace":[],"trace_dropped":0}`, "sum to"},
-		{"trace-seq-not-ascending", `{"counters":[],"histograms":[],"trace":[{"seq":2,"kind":"event","phase":"io","name":"a"},{"seq":1,"kind":"event","phase":"io","name":"b"}],"trace_dropped":0}`, "seq not ascending"},
-		{"unknown-kind", `{"counters":[],"histograms":[],"trace":[{"seq":1,"kind":"blip","phase":"io","name":"a"}],"trace_dropped":0}`, "unknown kind"},
-		{"missing-phase", `{"counters":[],"histograms":[],"trace":[{"seq":1,"kind":"event","phase":"","name":"a"}],"trace_dropped":0}`, "lacks phase or name"},
+		{"unknown-field", `{"counters":[],"histograms":[],"bogus":1}`, "invalid snapshot"},
+		{"trailing-data", `{"counters":[],"histograms":[]} {}`, "trailing data"},
+		{"empty-counter-name", `{"counters":[{"name":"","value":1}],"histograms":[]}`, "empty name"},
+		{"histogram-no-buckets", `{"counters":[],"histograms":[{"name":"h","count":0,"sum":0,"buckets":[]}]}`, "no buckets"},
+		{"bounds-not-ascending", `{"counters":[],"histograms":[{"name":"h","count":2,"sum":0,"buckets":[{"le":10,"count":1},{"le":5,"count":0},{"le":9223372036854775807,"count":1}]}]}`, "not ascending"},
+		{"negative-bucket", `{"counters":[],"histograms":[{"name":"h","count":0,"sum":0,"buckets":[{"le":10,"count":-1},{"le":9223372036854775807,"count":1}]}]}`, "negative count"},
+		{"missing-overflow", `{"counters":[],"histograms":[{"name":"h","count":1,"sum":0,"buckets":[{"le":10,"count":1}]}]}`, "overflow bucket"},
+		{"count-mismatch", `{"counters":[],"histograms":[{"name":"h","count":5,"sum":0,"buckets":[{"le":10,"count":1},{"le":9223372036854775807,"count":1}]}]}`, "sum to"},
+		{"retired-trace-section", `{"counters":[],"histograms":[],"trace":[],"trace_dropped":0}`, "invalid snapshot"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,41 +111,5 @@ func TestSinkFor(t *testing.T) {
 	}
 	if _, err := SinkFor("xml"); err == nil {
 		t.Error("SinkFor(xml) accepted")
-	}
-}
-
-func TestValidateJSONLines(t *testing.T) {
-	valid := `{"seq":1,"kind":"span","phase":"scan","name":"a","start_ns":10,"dur_ns":5}
-{"seq":2,"kind":"event","phase":"io","name":"b","start_ns":20,"value":3}
-
-{"seq":7,"kind":"event","phase":"plan","name":"c","start_ns":30}`
-	if err := ValidateJSONLines([]byte(valid)); err != nil {
-		t.Fatalf("valid JSONL rejected: %v", err)
-	}
-	if err := ValidateJSONLines(nil); err != nil {
-		t.Fatalf("empty stream rejected: %v", err)
-	}
-	cases := []struct {
-		name string
-		doc  string
-		want string
-	}{
-		{"not-json", "{", "invalid trace entry"},
-		{"unknown-field", `{"seq":1,"kind":"event","phase":"io","name":"a","bogus":1}`, "invalid trace entry"},
-		{"trailing", `{"seq":1,"kind":"event","phase":"io","name":"a"} {}`, "trailing data"},
-		{"seq", "{\"seq\":2,\"kind\":\"event\",\"phase\":\"io\",\"name\":\"a\"}\n{\"seq\":1,\"kind\":\"event\",\"phase\":\"io\",\"name\":\"b\"}", "seq not ascending"},
-		{"kind", `{"seq":1,"kind":"blip","phase":"io","name":"a"}`, "unknown kind"},
-		{"phase", `{"seq":1,"kind":"event","phase":"","name":"a"}`, "lacks phase or name"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateJSONLines([]byte(tc.doc))
-			if err == nil {
-				t.Fatal("validator accepted a malformed stream")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
-			}
-		})
 	}
 }

@@ -195,12 +195,11 @@ type (
 
 // Telemetry layer.
 type (
-	// Telemetry is the execution instrumentation collector: per-phase
-	// spans, I/O and cache counters, histograms, a bounded trace ring.
-	// A nil *Telemetry disables collection everywhere it is passed.
+	// Telemetry is the execution instrumentation collector: I/O, cache,
+	// join and planner counters and histograms. Per-phase timing lives
+	// in request traces (RequestSpan via Options.Trace). A nil
+	// *Telemetry disables collection everywhere it is passed.
 	Telemetry = telemetry.Collector
-	// TelemetryOption configures a collector (trace capacity, clock).
-	TelemetryOption = telemetry.Option
 	// TelemetrySnapshot is a point-in-time copy of a collector's state.
 	TelemetrySnapshot = telemetry.Snapshot
 )
@@ -208,7 +207,7 @@ type (
 // NewTelemetry creates an enabled collector. Attach it to a join via
 // Options.Telemetry (or QueryOptions.Telemetry) and to the storage layer
 // via Workspace.SetTelemetry; read it back with its Snapshot method.
-func NewTelemetry(opts ...TelemetryOption) *Telemetry { return telemetry.New(opts...) }
+func NewTelemetry() *Telemetry { return telemetry.New() }
 
 // MetricsExporter serves a collector as a Prometheus text exposition,
 // computing per-second rates between successive scrapes.
@@ -220,11 +219,6 @@ type MetricsExporter = metrics.Exporter
 func NewMetricsExporter(t *Telemetry, opts ...MetricsExporterOption) *MetricsExporter {
 	return metrics.NewExporter(t, opts...)
 }
-
-// TraceStreamHandler serves a collector's trace ring as JSON Lines (one
-// telemetry entry per line); the since query parameter tails entries
-// with larger sequence numbers.
-func TraceStreamHandler(t *Telemetry) http.Handler { return metrics.TraceHandler(t) }
 
 // Request tracing and SLO layer.
 type (
